@@ -14,6 +14,7 @@
 // separates what each variant actually changes — the extraction phase — from
 // the shared assignment scans.
 
+#include <cstdint>
 #include <iostream>
 
 #include "common/random.h"
@@ -39,9 +40,9 @@ int main() {
   std::vector<Variant> variants(4);
   variants[0].name = "matfree-warm";  // The library default.
   variants[1].name = "gram-warm";
-  variants[1].options.shape_options.use_matrix_free = false;
+  variants[1].options.shape_options.matrix_free_min_members = SIZE_MAX;
   variants[2].name = "gram-cold";
-  variants[2].options.shape_options.use_matrix_free = false;
+  variants[2].options.shape_options.matrix_free_min_members = SIZE_MAX;
   variants[2].options.shape_options.warm_start = false;
   variants[3].name = "full-eigen";
   variants[3].options.shape_options.use_power_iteration = false;

@@ -30,13 +30,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "common/check.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
@@ -56,7 +56,7 @@ constexpr double kNoiseSigma = 0.5;
 constexpr double kPhaseJitter = 0.15 * M_PI;
 
 bool g_smoke = false;
-std::vector<std::string> g_records;
+kshape::bench::BenchJson g_records;
 
 void Record(std::size_t n, std::size_t m, double exact_seconds,
             double pruned_seconds, int iterations,
@@ -73,8 +73,7 @@ void Record(std::size_t n, std::size_t m, double exact_seconds,
       n, m, kClusters, kshape::simd::ActiveBackendName(), exact_seconds,
       pruned_seconds, speedup, iterations, skipped_pct_after_iter2,
       labels_match ? "true" : "false");
-  std::printf("BENCH %s\n", buffer);
-  g_records.emplace_back(buffer);
+  g_records.Add(buffer);
 }
 
 // Minimum of repetitions — the same estimator as the other benches; Cluster
@@ -204,13 +203,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream json("BENCH_pruning.json");
-  json << "[\n";
-  for (std::size_t i = 0; i < g_records.size(); ++i) {
-    json << "  " << g_records[i] << (i + 1 < g_records.size() ? ",\n" : "\n");
-  }
-  json << "]\n";
-  json.close();
-  std::printf("wrote BENCH_pruning.json (%zu records)\n", g_records.size());
+  g_records.Write("BENCH_pruning.json");
   return 0;
 }

@@ -32,17 +32,18 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "cluster/averaging.h"
 #include "cluster/kmeans.h"
 #include "cluster/minibatch_kshape.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "core/kshape.h"
+#include "core/sbd.h"
 #include "data/generators.h"
 #include "distance/euclidean.h"
 #include "eval/metrics.h"
@@ -71,7 +72,7 @@ void MakeCbfData(int n, std::size_t m, uint64_t seed,
 // Sharded out-of-core mode.
 // ---------------------------------------------------------------------------
 
-std::vector<std::string> g_sharded_records;
+kshape::bench::BenchJson g_sharded_records;
 
 struct ShardedRunResult {
   double seconds = 0.0;
@@ -144,8 +145,7 @@ void RecordSharded(std::size_t n, std::size_t m, int k,
       run.clustering.iterations, run.clustering.converged ? "true" : "false",
       run.clustering.shards_loaded, run.clustering.shard_evictions,
       run.clustering.sampled_series);
-  std::printf("BENCH %s\n", buffer);
-  g_sharded_records.emplace_back(buffer);
+  g_sharded_records.Add(buffer);
 }
 
 int RunShardedMode(bool smoke, bool xl) {
@@ -223,16 +223,7 @@ int RunShardedMode(bool smoke, bool xl) {
                    (1024 * 1024)
             << " MiB here — independent of n.)\n";
 
-  std::ofstream json("BENCH_sharded.json");
-  json << "[\n";
-  for (std::size_t i = 0; i < g_sharded_records.size(); ++i) {
-    json << "  " << g_sharded_records[i]
-         << (i + 1 < g_sharded_records.size() ? ",\n" : "\n");
-  }
-  json << "]\n";
-  json.close();
-  std::printf("wrote BENCH_sharded.json (%zu records)\n",
-              g_sharded_records.size());
+  g_sharded_records.Write("BENCH_sharded.json");
   return 0;
 }
 
@@ -254,10 +245,12 @@ int main(int argc, char** argv) {
   const cluster::ArithmeticMeanAveraging mean_avg;
   const cluster::KMeans k_avg_ed(&ed, &mean_avg, "k-AVG+ED");
   const core::KShape kshape;
-  // Ablation column: the identical algorithm with the spectrum cache off,
-  // paying two forward transforms inside every assignment distance.
+  // Ablation column: the identical algorithm with per-pair SBD instead of
+  // the spectrum cache, paying two forward transforms inside every
+  // assignment distance.
+  const core::SbdDistance per_pair_sbd;
   core::KShapeOptions no_cache_options;
-  no_cache_options.use_spectrum_cache = false;
+  no_cache_options.assignment_distance = &per_pair_sbd;
   const core::KShape kshape_no_cache(no_cache_options);
 
   // Phase telemetry (extract/assign, monotonic clock summed across

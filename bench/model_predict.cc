@@ -21,13 +21,13 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "common/check.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
@@ -47,7 +47,7 @@ constexpr int kClusters = 8;
 constexpr double kNoiseSigma = 0.5;
 
 bool g_smoke = false;
-std::vector<std::string> g_records;
+kshape::bench::BenchJson g_records;
 
 void Record(const char* workload, std::size_t n_fit, std::size_t m,
             std::size_t batch, double fit_seconds, double predict_seconds,
@@ -65,8 +65,7 @@ void Record(const char* workload, std::size_t n_fit, std::size_t m,
       workload, n_fit, m, kClusters, batch,
       kshape::simd::ActiveBackendName(), fit_seconds, predict_seconds, rate,
       roundtrip_match ? "true" : "false");
-  std::printf("BENCH %s\n", buffer);
-  g_records.emplace_back(buffer);
+  g_records.Add(buffer);
 }
 
 double TimeSeconds(int reps, const std::function<void()>& run) {
@@ -198,14 +197,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream json("BENCH_model_predict.json");
-  json << "[\n";
-  for (std::size_t i = 0; i < g_records.size(); ++i) {
-    json << "  " << g_records[i] << (i + 1 < g_records.size() ? ",\n" : "\n");
-  }
-  json << "]\n";
-  json.close();
-  std::printf("wrote BENCH_model_predict.json (%zu records)\n",
-              g_records.size());
+  g_records.Write("BENCH_model_predict.json");
   return 0;
 }

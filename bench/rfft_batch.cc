@@ -27,13 +27,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/random.h"
@@ -57,7 +57,7 @@ constexpr int kRepetitions = 5;
 constexpr std::size_t kLengths[] = {128, 512, 2048};
 
 bool g_smoke = false;
-std::vector<std::string> g_records;
+kshape::bench::BenchJson g_records;
 double g_sink = 0.0;
 
 void Record(const char* workload, std::size_t n, std::size_t m,
@@ -72,8 +72,7 @@ void Record(const char* workload, std::size_t n, std::size_t m,
       "\"speedup\":%.3f}",
       workload, n, m, kshape::simd::ActiveBackendName(), full_seconds,
       half_seconds, speedup);
-  std::printf("BENCH %s\n", buffer);
-  g_records.emplace_back(buffer);
+  g_records.Add(buffer);
 }
 
 // Minimum of kRepetitions timings — same estimator as the simd_kernels and
@@ -266,14 +265,7 @@ int main(int argc, char** argv) {
   const std::size_t scale = g_smoke ? 5 : 1;
   BenchSbdPairwiseEndToEnd(250 / scale, 512);
 
-  std::ofstream json("BENCH_rfft.json");
-  json << "[\n";
-  for (std::size_t i = 0; i < g_records.size(); ++i) {
-    json << "  " << g_records[i] << (i + 1 < g_records.size() ? ",\n" : "\n");
-  }
-  json << "]\n";
-  json.close();
-  std::printf("wrote BENCH_rfft.json (%zu records)\n", g_records.size());
+  g_records.Write("BENCH_rfft.json");
   // Defeat whole-program DCE of the timing loops.
   std::printf("checksum %.3g\n", g_sink);
   return 0;

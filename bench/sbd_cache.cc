@@ -15,12 +15,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "classify/nearest_neighbor.h"
 #include "cluster/kmedoids.h"
 #include "common/check.h"
@@ -86,7 +86,7 @@ kshape::tseries::Dataset MakeDataset(std::size_t n, std::size_t m,
 }
 
 // Collected records, serialized to BENCH_sbd_cache.json at exit.
-std::vector<std::string> g_records;
+kshape::bench::BenchJson g_records;
 
 void Record(const char* workload, const char* impl, std::size_t n,
             std::size_t m, int threads, double uncached_seconds,
@@ -101,8 +101,7 @@ void Record(const char* workload, const char* impl, std::size_t n,
       "\"cached_seconds\":%.6f,\"speedup\":%.3f}",
       workload, impl, n, m, threads, uncached_seconds, cached_seconds,
       speedup);
-  std::printf("BENCH %s\n", buffer);
-  g_records.emplace_back(buffer);
+  g_records.Add(buffer);
 }
 
 double TimeSeconds(const std::function<void()>& run) {
@@ -178,8 +177,8 @@ int main() {
                 core::CrossCorrelationImpl::kFftNoPow2, 120, 384);
 
   // Full k-Shape: series spectra once per call, centroid spectra once per
-  // iteration. The ablation flag switches the identical algorithm back to
-  // per-pair Sbd().
+  // iteration. An SbdDistance assignment distance switches the identical
+  // algorithm back to per-pair Sbd().
   {
     constexpr std::size_t n = 300;
     constexpr std::size_t m = 256;
@@ -188,8 +187,9 @@ int main() {
     const std::vector<Series> series = MakeSeries(n, m, 2);
     core::KShapeOptions cached_options;
     cached_options.init = core::KShapeInit::kPlusPlusSeeding;
+    const core::SbdDistance per_pair_sbd;
     core::KShapeOptions uncached_options = cached_options;
-    uncached_options.use_spectrum_cache = false;
+    uncached_options.assignment_distance = &per_pair_sbd;
     const core::KShape cached_kshape(cached_options);
     const core::KShape uncached_kshape(uncached_options);
 
@@ -265,13 +265,6 @@ int main() {
     common::SetThreadCount(1);
   }
 
-  std::ofstream json("BENCH_sbd_cache.json");
-  json << "[\n";
-  for (std::size_t i = 0; i < g_records.size(); ++i) {
-    json << "  " << g_records[i] << (i + 1 < g_records.size() ? ",\n" : "\n");
-  }
-  json << "]\n";
-  json.close();
-  std::printf("wrote BENCH_sbd_cache.json (%zu records)\n", g_records.size());
+  g_records.Write("BENCH_sbd_cache.json");
   return 0;
 }

@@ -10,9 +10,10 @@
 // Correctness is asserted in-process, not just reported:
 //   - per config, the matrix-free and Gram centroids must agree to epsilon
 //     (they differ in summation order only — the run aborts past 1e-4);
-//   - once per run, a k-Shape clustering with KSHAPE_MATFREE on vs off must
-//     produce EXACTLY the same labels and iteration count (the gate-parity
-//     acceptance bar, checked here on the bench corpus too).
+//   - once per run, a default k-Shape clustering and one forced onto the
+//     dense solve (matrix_free_min_members = SIZE_MAX) must produce EXACTLY
+//     the same labels and iteration count (the parity acceptance bar,
+//     checked here on the bench corpus too).
 //
 // One BENCH JSON line per (n_c, m):
 //
@@ -29,14 +30,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "common/check.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
@@ -57,7 +59,7 @@ constexpr double kPhaseJitter = 0.15 * M_PI;  // See assignment_pruning.cc:
 // into the O(m^3) fallback and the timings measure the iteration itself.
 
 bool g_smoke = false;
-std::vector<std::string> g_records;
+kshape::bench::BenchJson g_records;
 
 // One cluster's worth of members: a noisy sine with bounded phase jitter.
 Series JitterSine(std::size_t m, kshape::common::Rng* rng) {
@@ -109,8 +111,7 @@ void Record(std::size_t n_c, std::size_t m, double gram_warm,
       matfree_warm > 0.0 ? gram_warm / matfree_warm : 0.0, gram_cold,
       matfree_cold, matfree_cold > 0.0 ? gram_cold / matfree_cold : 0.0,
       max_diff, labels_match ? "true" : "false");
-  std::printf("BENCH %s\n", buffer);
-  g_records.emplace_back(buffer);
+  g_records.Add(buffer);
 }
 
 void BenchConfig(std::size_t n_c, std::size_t m, bool labels_match,
@@ -124,11 +125,10 @@ void BenchConfig(std::size_t n_c, std::size_t m, bool labels_match,
 
   core::ShapeExtractionOptions matfree_warm_opts;
   core::ShapeExtractionOptions gram_warm_opts;
-  gram_warm_opts.use_matrix_free = false;
+  gram_warm_opts.matrix_free_min_members = SIZE_MAX;
   core::ShapeExtractionOptions matfree_cold_opts;
   matfree_cold_opts.warm_start = false;
-  core::ShapeExtractionOptions gram_cold_opts;
-  gram_cold_opts.use_matrix_free = false;
+  core::ShapeExtractionOptions gram_cold_opts = gram_warm_opts;
   gram_cold_opts.warm_start = false;
 
   // Epsilon cross-check before any timing: the two paths see the members in
@@ -172,9 +172,10 @@ void BenchConfig(std::size_t n_c, std::size_t m, bool labels_match,
                  harness::FormatRatio(gram_cold / matfree_cold)});
 }
 
-// Gate-parity acceptance on a clustering workload: identical labels and
-// iteration counts with KSHAPE_MATFREE on vs off. Returns true on parity
-// (and aborts the bench otherwise — this is the in-process assert).
+// Parity acceptance on a clustering workload: identical labels and
+// iteration counts with matrix-free extraction and with the dense solve
+// forced everywhere. Returns true on parity (and aborts the bench otherwise
+// — this is the in-process assert).
 bool CheckLabelParity() {
   using namespace kshape;
   const std::size_t n = g_smoke ? 120 : 300;
@@ -196,22 +197,21 @@ bool CheckLabelParity() {
   }
 
   const core::KShape algorithm;
-  const bool saved = core::MatrixFreeEnabled();
-  core::SetMatrixFreeEnabledForTesting(true);
+  core::KShapeOptions dense_options;
+  dense_options.shape_options.matrix_free_min_members = SIZE_MAX;
+  const core::KShape dense(dense_options);
   common::Rng rng_on(7);
   const cluster::ClusteringResult on = algorithm.Cluster(series, k, &rng_on);
-  core::SetMatrixFreeEnabledForTesting(false);
   common::Rng rng_off(7);
-  const cluster::ClusteringResult off = algorithm.Cluster(series, k, &rng_off);
-  core::SetMatrixFreeEnabledForTesting(saved);
+  const cluster::ClusteringResult off = dense.Cluster(series, k, &rng_off);
 
   const bool parity = on.assignments == off.assignments &&
                       on.iterations == off.iterations;
   KSHAPE_CHECK_MSG(parity,
-                   "KSHAPE_MATFREE on/off label parity failed on the bench "
+                   "matrix-free vs dense label parity failed on the bench "
                    "corpus");
   std::printf(
-      "label parity: KSHAPE_MATFREE on vs off — %zu labels identical, "
+      "label parity: matrix-free vs dense — %zu labels identical, "
       "%d iterations both\n",
       on.assignments.size(), on.iterations);
   return parity;
@@ -259,13 +259,6 @@ int main(int argc, char** argv) {
             << " members routes tiny clusters back to the dense\npath "
                "bit-identically.)\n";
 
-  std::ofstream json("BENCH_matfree.json");
-  json << "[\n";
-  for (std::size_t i = 0; i < g_records.size(); ++i) {
-    json << "  " << g_records[i] << (i + 1 < g_records.size() ? ",\n" : "\n");
-  }
-  json << "]\n";
-  json.close();
-  std::printf("wrote BENCH_matfree.json (%zu records)\n", g_records.size());
+  g_records.Write("BENCH_matfree.json");
   return 0;
 }

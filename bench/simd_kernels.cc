@@ -17,13 +17,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "cluster/kmedoids.h"
 #include "common/check.h"
 #include "common/parallel.h"
@@ -51,7 +51,7 @@ constexpr int kRepetitions = 5;
 constexpr std::size_t kLengths[] = {128, 512, 2048};
 
 bool g_smoke = false;
-std::vector<std::string> g_records;
+kshape::bench::BenchJson g_records;
 
 void Record(const char* workload, std::size_t n, std::size_t m,
             double scalar_seconds, double simd_seconds) {
@@ -65,8 +65,7 @@ void Record(const char* workload, std::size_t n, std::size_t m,
       "\"simd_seconds\":%.6f,\"speedup\":%.3f}",
       workload, n, m, kshape::simd::ActiveBackendName(), scalar_seconds,
       simd_seconds, speedup);
-  std::printf("BENCH %s\n", buffer);
-  g_records.emplace_back(buffer);
+  g_records.Add(buffer);
 }
 
 // Minimum of kRepetitions timings — the robust estimator for cache-resident
@@ -383,15 +382,7 @@ int main(int argc, char** argv) {
   BenchEdPairwiseEndToEnd(400 / scale, 512);
   BenchSbdPairwiseEndToEnd(250 / scale, 512);
 
-  std::ofstream json("BENCH_simd_kernels.json");
-  json << "[\n";
-  for (std::size_t i = 0; i < g_records.size(); ++i) {
-    json << "  " << g_records[i] << (i + 1 < g_records.size() ? ",\n" : "\n");
-  }
-  json << "]\n";
-  json.close();
-  std::printf("wrote BENCH_simd_kernels.json (%zu records)\n",
-              g_records.size());
+  g_records.Write("BENCH_simd_kernels.json");
   // Defeat whole-program DCE of the timing loops.
   std::printf("checksum %.3g\n", g_sink);
   return 0;

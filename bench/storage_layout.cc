@@ -15,12 +15,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "cluster/kmedoids.h"
 #include "common/check.h"
 #include "common/parallel.h"
@@ -64,7 +64,7 @@ TwoLayouts MakeCorpus(std::size_t n, std::size_t m, uint64_t seed) {
   return corpus;
 }
 
-std::vector<std::string> g_records;
+kshape::bench::BenchJson g_records;
 
 void Record(const char* workload, std::size_t n, std::size_t m, int threads,
             double nested_seconds, double contiguous_seconds) {
@@ -77,8 +77,7 @@ void Record(const char* workload, std::size_t n, std::size_t m, int threads,
       "\"m\":%zu,\"threads\":%d,\"nested_seconds\":%.6f,"
       "\"contiguous_seconds\":%.6f,\"speedup\":%.3f}",
       workload, n, m, threads, nested_seconds, contiguous_seconds, speedup);
-  std::printf("BENCH %s\n", buffer);
-  g_records.emplace_back(buffer);
+  g_records.Add(buffer);
 }
 
 // Minimum of kRepetitions timings: layout effects are small relative to
@@ -270,14 +269,6 @@ int main(int argc, char** argv) {
   BenchEdPairwiseMatrix(600 / scale, 256);
   BenchSbdSpectrumBuild(1000 / scale, 512);
 
-  std::ofstream json("BENCH_storage_layout.json");
-  json << "[\n";
-  for (std::size_t i = 0; i < g_records.size(); ++i) {
-    json << "  " << g_records[i] << (i + 1 < g_records.size() ? ",\n" : "\n");
-  }
-  json << "]\n";
-  json.close();
-  std::printf("wrote BENCH_storage_layout.json (%zu records)\n",
-              g_records.size());
+  g_records.Write("BENCH_storage_layout.json");
   return 0;
 }

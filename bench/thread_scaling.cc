@@ -166,8 +166,9 @@ int main() {
         std::cout, "k-Shape full run, ++ seeding, cached (n=300, m=256, k=3)");
     BenchPath("kshape_plusplus", 300, 256,
               [&] { return kshape_digest(algorithm); });
+    const core::SbdDistance per_pair_sbd;
     core::KShapeOptions uncached_options = options;
-    uncached_options.use_spectrum_cache = false;
+    uncached_options.assignment_distance = &per_pair_sbd;
     const core::KShape uncached_algorithm(uncached_options);
     harness::PrintSection(
         std::cout,

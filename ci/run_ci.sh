@@ -1,66 +1,47 @@
 #!/usr/bin/env bash
-# CI for the parallel execution layer.
+# The repository's CI: every tier-1 test, the benches' smoke checks, the
+# end-to-end benchmark's checker tests, and the sanitizer suites.
 #
 # 1. Release build (examples/ binaries built explicitly, so interface
-#    refactors cannot silently break them); tier-1 tests at KSHAPE_THREADS=1
-#    and KSHAPE_THREADS=4 (the suites assert bit-identical results across
-#    thread counts, so running the whole tier at two settings catches
-#    scheduling-dependent output anywhere in the library, not just in
-#    parallel_test), plus a KSHAPE_SIMD=scalar leg that forces the reference
-#    kernel backend through the whole tier (the SIMD determinism contract
-#    says results cannot change, so any diff is a backend bug), and a
-#    KSHAPE_HALF_SPECTRUM=off leg that forces the full-complex spectrum
-#    cache through the whole tier (the half-spectrum equivalence contract
-#    says labels and accuracies cannot change), and a KSHAPE_PRUNE=off leg
-#    that forces exhaustive exact scans through the whole tier (the pruning
-#    equivalence contract says labels cannot change), and KSHAPE_SHARDS=on
-#    / KSHAPE_SHARDS=off legs that pin the out-of-core gate both ways (the
-#    sharded exact-mode contract says results are bit-identical to the
-#    in-memory driver, and the "off" leg forces the fall-back-to-exact path
-#    through the mini-batch suite), and a KSHAPE_MATFREE=off leg that forces
-#    the dense Gram eigensolver through the whole tier (the matrix-free
-#    contract says the off state is bit-identical to the pre-matrix-free
-#    implementation, and label parity with the on state is pinned by the
-#    suites themselves); then the storage-layout, simd-kernels, rfft-batch,
-#    assignment-pruning, and shape-extraction microbenches plus the sharded
-#    fig12 scalability bench in --smoke mode as release-stage smoke tests
-#    (all cross-check bit-identity, epsilon equivalence, or label equality
-#    and write their BENCH_*.json files), the model_predict serving bench in
-#    --smoke mode (asserts saved->loaded Predict bit-identity), and a
-#    kshape_fit -> kshape_predict round-trip leg that exercises the .kmodel
-#    artifact end to end through the example CLIs.
+#    refactors cannot silently break them). Tier-1 tests run five times:
+#    - KSHAPE_THREADS=1 and KSHAPE_THREADS=4: the suites assert bit-identical
+#      results across thread counts, so running the whole tier at two
+#      settings catches scheduling-dependent output anywhere in the library;
+#    - KSHAPE_SIMD=scalar: forces the reference kernel backend (the SIMD
+#      determinism contract says results cannot change);
+#    - KSHAPE_HALF_SPECTRUM=off: forces the full-complex spectrum cache (the
+#      half-spectrum equivalence contract says labels cannot change);
+#    - KSHAPE_PRUNE=off: forces exhaustive exact scans (the pruning
+#      equivalence contract says labels cannot change).
+#    Then the storage-layout, simd-kernels, rfft-batch, assignment-pruning
+#    and shape-extraction microbenches, the model_predict serving bench and
+#    the sharded fig12 scalability bench run in --smoke mode; each
+#    cross-checks bit-identity, epsilon equivalence or label equality and
+#    writes its BENCH_*.json file. A kshape_fit -> kshape_predict round trip
+#    exercises the .kmodel artifact through the example CLIs. Last,
+#    perfbench/test_checks.py builds the end-to-end benchmark against src/
+#    and runs its checker tests, so a library API change that breaks the
+#    benchmark fails here.
 # 2. -march=native release build: the strictest determinism setting — the
 #    compiler is free to fuse/vectorize everything OUTSIDE the pinned kernel
 #    TUs, so tier-1 passing here proves the -ffp-contract=off firewalls
 #    around src/simd/ actually hold.
 # 3. ThreadSanitizer build; parallel_test, thread_pool_test, sbd_cache_test,
 #    rfft_test, simd_kernels_test, pruning_test, sharded_store_test,
-#    shape_extraction_test, and
-#    minibatch_kshape_test run under TSan to catch data races in the pool,
-#    the FFT/RFFT plan caches (incl. BatchSpectra parallel fill), the
-#    spectrum-cached SBD pipeline, the kernel dispatch cache (atomic table
-#    pointer + SetBackendForTesting), the pruned assignment scan (per-series
-#    bound/telemetry cells + the KSHAPE_PRUNE gate atomics), the shard
-#    residency cache (generation stamps + eviction under churn), the
-#    sharded assignment fan-out (per-shard engines writing disjoint label
-#    ranges in parallel), and the matrix-free extraction matvec (parallel
-#    chunk fan-out writing disjoint partial blocks — RowPoolMatVec's
-#    determinism contract); fitted_model_test also runs under TSan because
-#    Predict drives the Assigner's parallel assignment fan-out over a frozen
-#    model at multiple thread counts.
+#    shape_extraction_test, minibatch_kshape_test and fitted_model_test run
+#    under TSan. They cover the pool, the FFT/RFFT plan caches, the
+#    spectrum-cached SBD pipeline, the kernel dispatch cache, the pruned
+#    assignment scan and its gate atomics, the shard residency cache, the
+#    sharded assignment fan-out, the matrix-free extraction matvec
+#    (RowPoolMatVec's disjoint partial blocks) and Predict's parallel
+#    assignment over a frozen model.
 # 4. AddressSanitizer+UBSan build; the robustness suites (degenerate inputs,
 #    property sweeps over hostile data, conditioning) plus simd_kernels_test
-#    (unaligned loads, length-1..67 tails), rfft_test (packed-bin
-#    unpack/fold indexing at odd, prime, and power-of-two lengths),
-#    pruning_test (bound-plane indexing at Bluestein lengths, the
-#    partial-sum checkpoint tails), sharded_store_test (mmap-free file I/O,
-#    truncated/corrupt shard handling), minibatch_kshape_test (sampled
-#    scatter indexing, streamed repair), shape_extraction_test (pooled-row
-#    and partial-block indexing on the matrix-free path, crossover/spill
-#    boundaries), and fitted_model_test (the .kmodel
-#    corruption matrix: truncated/ragged/byte-patched model files through the
-#    untrusted-input Load path) run under ASan+UBSan so every repair/fallback
-#    path is also checked for memory errors and UB.
+#    (unaligned loads, odd tails), rfft_test (packed-bin indexing),
+#    pruning_test (bound-plane indexing), sharded_store_test (truncated or
+#    corrupt shards), minibatch_kshape_test (sampled scatter indexing),
+#    shape_extraction_test (pooled-row and partial-block indexing) and
+#    fitted_model_test (the .kmodel corruption matrix) run under ASan+UBSan.
 #
 # Usage: ci/run_ci.sh [build-dir-prefix]   (default: build-ci)
 
@@ -100,16 +81,6 @@ echo "==> tier1 tests, KSHAPE_PRUNE=off (forced exhaustive exact scans)"
 (cd "${RELEASE_DIR}" &&
  KSHAPE_PRUNE=off ctest -L tier1 --output-on-failure -j "${JOBS}")
 
-for shards in on off; do
-  echo "==> tier1 tests, KSHAPE_SHARDS=${shards} (out-of-core gate pinned)"
-  (cd "${RELEASE_DIR}" &&
-   KSHAPE_SHARDS="${shards}" ctest -L tier1 --output-on-failure -j "${JOBS}")
-done
-
-echo "==> tier1 tests, KSHAPE_MATFREE=off (forced dense Gram eigensolver)"
-(cd "${RELEASE_DIR}" &&
- KSHAPE_MATFREE=off ctest -L tier1 --output-on-failure -j "${JOBS}")
-
 echo "==> storage-layout smoke test (contiguous vs nested bit-identity)"
 (cd "${RELEASE_DIR}" && ./bench/storage_layout --smoke)
 
@@ -136,6 +107,9 @@ rm -f "${MODEL_FILE}"
 
 echo "==> sharded fig12 smoke test (out-of-core exact + mini-batch runs)"
 (cd "${RELEASE_DIR}" && ./bench/fig12_scalability --sharded --smoke)
+
+echo "==> end-to-end benchmark checker tests (perfbench built against src/)"
+python3 perfbench/test_checks.py
 
 NATIVE_DIR="${PREFIX}-native"
 echo "==> -march=native release build (${NATIVE_DIR})"

@@ -117,23 +117,19 @@ namespace {
 // over the aligned members b_i, i.e. the smallest eigenvector of
 // M = sum_i (I - b_i b_i^T / (b_i^T b_i)). Equivalently the *dominant*
 // eigenvector of P = sum_i b_i b_i^T / (b_i^T b_i), which power iteration
-// finds in O(m^2) per step.
+// finds matrix-free: P·v = Σ ŝᵢ(ŝᵢ·v) over the unit-scaled aligned members
+// ŝᵢ = bᵢ/||bᵢ||, O(n_c·m) per step with P never formed — the matrix-free
+// shape-extraction structure minus the centering.
 tseries::Series KscCentroid(const tseries::SeriesBatch& pool,
                             const std::vector<std::size_t>& member_indices,
                             tseries::SeriesView previous,
-                            common::Rng* rng, bool fft_align,
-                            bool matrix_free) {
+                            common::Rng* rng, bool fft_align) {
   const std::size_t m = previous.size();
   if (member_indices.empty()) return tseries::Series(m, 0.0);
 
   const bool align = linalg::Norm(previous) > 0.0;
-  linalg::Matrix p;                 // Dense path: P accumulated directly.
-  std::vector<double> scaled_rows;  // Matrix-free path: rows b_i/||b_i||.
-  if (matrix_free) {
-    scaled_rows.reserve(member_indices.size() * m);
-  } else {
-    p = linalg::Matrix(m, m);
-  }
+  std::vector<double> scaled_rows;  // Rows b_i/||b_i||.
+  scaled_rows.reserve(member_indices.size() * m);
   std::vector<double> mean(m, 0.0);
   std::size_t used = 0;
   for (std::size_t idx : member_indices) {
@@ -145,42 +141,29 @@ tseries::Series KscCentroid(const tseries::SeriesBatch& pool,
               : tseries::Series(member.begin(), member.end());
     const double norm_sq = linalg::Dot(b, b);
     if (norm_sq == 0.0) continue;
-    if (matrix_free) {
-      // Pool the unit-scaled row: Σ ŝŝᵀ = Σ bbᵀ/||b||² exactly in real
-      // arithmetic, to rounding in floating point — inside the epsilon
-      // contract of the matrix-free mode.
-      const double inv_norm = 1.0 / std::sqrt(norm_sq);
-      for (const double x : b) scaled_rows.push_back(x * inv_norm);
-    } else {
-      p.AddOuterProduct(b, 1.0 / norm_sq);
-    }
-    linalg::Axpy(1.0 / std::sqrt(norm_sq), b, &mean);
+    const double inv_norm = 1.0 / std::sqrt(norm_sq);
+    for (const double x : b) scaled_rows.push_back(x * inv_norm);
+    linalg::Axpy(inv_norm, b, &mean);
     ++used;
   }
   if (used == 0) return tseries::Series(m, 0.0);
 
-  std::vector<double> centroid;
-  if (matrix_free) {
-    // P·v = Σ ŝᵢ(ŝᵢ·v): the matrix-free shape-extraction structure minus
-    // the centering, O(n_c·m) per power step with P never formed. The dense
-    // fallback (stalls only) materializes from the same scaled rows.
-    linalg::RowPoolMatVec op(scaled_rows.data(), used, m);
-    const linalg::MatVecFn matvec = [&](const std::vector<double>& v,
-                                        std::vector<double>* out) {
-      op.Apply(v, *out);
-    };
-    const linalg::MaterializeFn materialize = [&]() {
-      linalg::Matrix dense(m, m);
-      for (std::size_t r = 0; r < used; ++r) {
-        dense.AddOuterProduct(
-            std::span<const double>(scaled_rows.data() + r * m, m));
-      }
-      return dense;
-    };
-    centroid = linalg::DominantEigenvectorOp(m, matvec, materialize, rng);
-  } else {
-    centroid = linalg::DominantEigenvector(p, rng);
-  }
+  // The dense fallback (stalls only) materializes P from the same rows.
+  linalg::RowPoolMatVec op(scaled_rows.data(), used, m);
+  const linalg::MatVecFn matvec = [&](const std::vector<double>& v,
+                                      std::vector<double>* out) {
+    op.Apply(v, *out);
+  };
+  const linalg::MaterializeFn materialize = [&]() {
+    linalg::Matrix dense(m, m);
+    for (std::size_t r = 0; r < used; ++r) {
+      dense.AddOuterProduct(
+          std::span<const double>(scaled_rows.data() + r * m, m));
+    }
+    return dense;
+  };
+  std::vector<double> centroid =
+      linalg::DominantEigenvectorOp(m, matvec, materialize, rng);
   if (linalg::Dot(centroid, mean) < 0.0) linalg::Scale(&centroid, -1.0);
   return centroid;
 }
@@ -203,12 +186,6 @@ ClusteringResult Ksc::Cluster(const tseries::SeriesBatch& series,
     return fft_align ? KscAlignFft(x, y).distance : KscAlign(x, y).distance;
   };
 
-  // Same gate composition as the FFT path: the per-algorithm option AND the
-  // process-wide KSHAPE_MATFREE gate, so one environment variable restores
-  // the dense eigensolver everywhere bit-identically.
-  const bool matrix_free =
-      options_.use_matrix_free && linalg::MatrixFreeEnabled();
-
   ClusteringResult result;
   result.assignments = RandomAssignments(n, k, rng);
   result.centroids.assign(k, tseries::Series(m, 0.0));
@@ -220,7 +197,7 @@ ClusteringResult Ksc::Cluster(const tseries::SeriesBatch& series,
     const auto groups = GroupByCluster(result.assignments, k);
     for (int j = 0; j < k; ++j) {
       result.centroids[j] = KscCentroid(series, groups[j], result.centroids[j],
-                                        rng, fft_align, matrix_free);
+                                        rng, fft_align);
     }
     result.extraction_seconds += phase_clock.ElapsedSeconds();
     phase_clock.Reset();

@@ -56,16 +56,6 @@ struct KscOptions {
   /// restores the time-domain evaluation everywhere without touching call
   /// sites. False forces the time-domain path, kept for ablation.
   bool use_fft_alignment = true;
-
-  /// When true (default) — and the process-wide KSHAPE_MATFREE gate
-  /// (linalg/row_pool.h) agrees — the centroid eigenproblem runs
-  /// matrix-free: P = Σ bᵢbᵢᵀ/||bᵢ||² is never formed; power iteration
-  /// applies P·v = Σ ŝᵢ(ŝᵢ·v) over the unit-scaled aligned members
-  /// ŝᵢ = bᵢ/||bᵢ|| in O(n_c·m) per step — the same structure as matrix-free
-  /// shape extraction, minus the centering. Epsilon-equal to the dense path
-  /// (different summation order), with the identical RNG draw sequence;
-  /// KSHAPE_MATFREE=off restores the dense path bit-identically.
-  bool use_matrix_free = true;
 };
 
 /// K-Spectral Centroid clustering: a k-means iteration whose assignment uses

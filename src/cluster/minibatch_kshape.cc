@@ -171,9 +171,6 @@ MiniBatchKShape::MiniBatchKShape(core::KShapeOptions options)
     : options_(options), name_("k-Shape-sharded") {
   KSHAPE_CHECK(options_.max_iterations >= 1);
   KSHAPE_CHECK(options_.refresh_period >= 1);
-  KSHAPE_CHECK_MSG(options_.use_spectrum_cache,
-                   "the sharded driver IS the spectrum-cache path; "
-                   "use_spectrum_cache = false has no sharded analogue");
   KSHAPE_CHECK_MSG(options_.assignment_distance == nullptr,
                    "custom assignment distances are not streamable; "
                    "use the in-memory KShape");
@@ -192,9 +189,8 @@ ClusteringResult MiniBatchKShape::Cluster(store::ShardedSeriesStore* store,
   const std::size_t fft_len = fft::NextPowerOfTwo(2 * m - 1);
   const bool half = options_.use_half_spectrum && fft::HalfSpectrumEnabled();
   const bool pruning = options_.use_pruning && core::PruningEnabled();
-  const bool minibatch = options_.minibatch_size > 0 &&
-                         options_.minibatch_size < n &&
-                         store::ShardingEnabled();
+  const bool minibatch =
+      options_.minibatch_size > 0 && options_.minibatch_size < n;
   const std::size_t batch_size = options_.minibatch_size;
   const long long loaded_before = store->shards_loaded();
   const long long evicted_before = store->shard_evictions();
@@ -258,14 +254,10 @@ ClusteringResult MiniBatchKShape::Cluster(store::ShardedSeriesStore* store,
     // its cluster's accumulator — the same per-cluster member sequence the
     // in-memory GroupByCluster walk produces), then Finish in cluster order
     // so any cold-start rng draws replay identically. The accumulators take
-    // the caller's shape options verbatim — including the matrix-free mode
-    // and its pool cap: an uncapped pool can reach O(members·m) per cluster
-    // on a full pass, so out-of-core runs that must bound extraction memory
-    // set matrix_free_max_members (shape extraction then spills those
-    // clusters to the O(m²) Gram, bit-identical to the Gram path). No cap is
-    // derived from the shard geometry here, because the exact mode's
-    // bit-identity with the in-memory KShape holds across shard geometry —
-    // a geometry-dependent spill would break it.
+    // the caller's shape options verbatim and pool every member they are
+    // fed, so a full pass holds O(n_c·m) extraction memory per cluster — the
+    // whole corpus across the k accumulators, beside the shard-residency
+    // budget that bounds only the raw samples and spectra.
     common::Stopwatch phase_clock;
     {
       std::vector<core::ShapeAccumulator> accumulators;

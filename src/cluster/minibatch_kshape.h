@@ -17,16 +17,17 @@ namespace kshape::cluster {
 /// (or should not sit) in memory.
 ///
 /// Every pass streams shards in order through a per-shard SbdEngine — the
-/// residency budget bounds both the raw samples and the engine spectra, so
-/// peak memory is O(max_resident_shards * shard_rows * m), independent of n.
-/// Centroid spectra are minted once per iteration (SbdEngine::MakeQueryFor)
-/// and reused against every shard engine; shape extraction streams members
-/// through one ShapeAccumulator per cluster in global index order.
+/// residency budget bounds both the raw samples and the engine spectra at
+/// O(max_resident_shards * shard_rows * m), independent of n. Centroid
+/// spectra are minted once per iteration (SbdEngine::MakeQueryFor) and
+/// reused against every shard engine; shape extraction streams members
+/// through one ShapeAccumulator per cluster in global index order. Those
+/// accumulators pool the aligned rows they are fed, so a full pass holds
+/// O(n_c·m) extraction memory per cluster (O(n·m) across all k).
 ///
-/// Two operating modes, selected by KShapeOptions::minibatch_size and the
-/// process-wide KSHAPE_SHARDS gate:
+/// Two operating modes, selected by KShapeOptions::minibatch_size:
 ///
-///  - Exact (minibatch_size == 0, or KSHAPE_SHARDS=off): every iteration is
+///  - Exact (minibatch_size == 0, or >= n): every iteration is
 ///    a full pass. The run is bit-identical to the in-memory KShape on the
 ///    same series — same labels, same centroids, same iteration count, same
 ///    distance telemetry — at every thread count, SIMD backend, spectrum
@@ -38,7 +39,7 @@ namespace kshape::cluster {
 ///    repair) runs in global index order. The equivalence suite in
 ///    tests/minibatch_kshape_test.cc pins this contract.
 ///
-///  - Mini-batch (minibatch_size B > 0 and the gate on): most iterations
+///  - Mini-batch (0 < minibatch_size B < n): most iterations
 ///    draw a seeded uniform sample of B series (Floyd's algorithm on the
 ///    coordinating thread, so the draw is thread-count-invariant), refine
 ///    centroids from the sampled members only, and reassign only the
@@ -57,9 +58,9 @@ namespace kshape::cluster {
 /// draws; 0 in exact mode). AssignmentIterationStats entries for sampled
 /// iterations partition B*k candidates instead of n*k.
 ///
-/// The driver requires the cached-SBD configuration: use_spectrum_cache on
-/// and no custom assignment_distance (both are KSHAPE_CHECKed — streaming
-/// shards IS the spectrum-cache path).
+/// The driver requires the cached-SBD configuration: no custom
+/// assignment_distance (KSHAPE_CHECKed — streaming shards IS the
+/// spectrum-cache path).
 class MiniBatchKShape {
  public:
   explicit MiniBatchKShape(core::KShapeOptions options = {});

@@ -1,7 +1,8 @@
 // Process-wide feature gates resolved from environment variables.
 //
-// Several subsystems ship an on/off kill switch (KSHAPE_HALF_SPECTRUM,
-// KSHAPE_PRUNE, KSHAPE_SHARDS, ...) with identical semantics: the variable is
+// Two subsystems ship an on/off kill switch (KSHAPE_HALF_SPECTRUM and
+// KSHAPE_PRUNE; KSHAPE_SIMD picks a kernel backend through its own
+// parser in simd/dispatch.cc) with identical semantics: the variable is
 // read once, lazily, on first use; "on" or unset enables the feature, "off"
 // disables it, and anything else aborts (a silently ignored typo in a CI leg
 // would void the equivalence contract that leg exists to check). EnvGate is

@@ -107,7 +107,6 @@ cluster::ClusteringResult KShape::Cluster(
   // engine's spectra for the bounds) and only when both the option and the
   // process-wide KSHAPE_PRUNE gate agree.
   const bool pruning = options_.use_pruning && PruningEnabled() &&
-                       options_.use_spectrum_cache &&
                        options_.assignment_distance == nullptr;
 
   // Spectrum cache: every series' forward FFT is computed once here and
@@ -115,9 +114,9 @@ cluster::ClusteringResult KShape::Cluster(
   // every iteration. Centroid spectra are refreshed once per iteration (k
   // forwards) below, so each centroid-to-series distance is a single inverse
   // transform. Disabled for custom assignment distances (the engine only
-  // accelerates SBD) and by the ablation flag.
+  // accelerates SBD).
   std::optional<SbdEngine> engine;
-  if (options_.use_spectrum_cache && options_.assignment_distance == nullptr) {
+  if (options_.assignment_distance == nullptr) {
     engine.emplace(series, CrossCorrelationImpl::kFft,
                    options_.use_half_spectrum && fft::HalfSpectrumEnabled(),
                    /*build_bound_planes=*/pruning);
@@ -147,12 +146,9 @@ cluster::ClusteringResult KShape::Cluster(
   model::Assigner assigner(assigner_options);
 
   auto assignment_distance = [&](int j, std::size_t i) {
-    if (options_.assignment_distance != nullptr) {
-      return options_.assignment_distance->Distance(result.centroids[j],
-                                                    series[i]);
-    }
     if (engine) return engine->Distance(assigner.queries()[j], i);
-    return Sbd(result.centroids[j], series[i]).distance;
+    return options_.assignment_distance->Distance(result.centroids[j],
+                                                  series[i]);
   };
 
   for (int iter = 0; iter < options_.max_iterations; ++iter) {

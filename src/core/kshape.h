@@ -35,16 +35,6 @@ struct KShapeOptions {
   /// Controls the eigenvector computation inside shape extraction.
   ShapeExtractionOptions shape_options;
 
-  /// When true (default), Cluster() builds an SbdEngine over the input: every
-  /// series' spectrum is computed once per call and every centroid's once per
-  /// iteration, so each ++-seeding or assignment distance is a single inverse
-  /// transform against cached spectra. Distances agree with the direct Sbd()
-  /// path within a tight tolerance (not bitwise — see core/sbd_engine.h), and
-  /// the cached pipeline itself stays bit-identical at every thread count.
-  /// Ignored when `assignment_distance` is set (the engine only accelerates
-  /// SBD). False forces the per-pair Sbd() path, kept for ablation benches.
-  bool use_spectrum_cache = true;
-
   /// When true (default), the spectrum cache stores packed half spectra
   /// (fft/rfft.h): half the memory, and half-size transforms at power-of-two
   /// padding. Combined with the process-wide KSHAPE_HALF_SPECTRUM gate — the
@@ -53,15 +43,23 @@ struct KShapeOptions {
   /// expected to match (enforced by the half-vs-full equivalence tests).
   bool use_half_spectrum = true;
 
-  /// Distance used in the assignment step. Null means SBD (the paper's
-  /// k-Shape); pointing this at a DtwMeasure gives the k-Shape+DTW ablation
-  /// of Table 3. The pointee must outlive the KShape instance.
+  /// Distance used in the assignment step. Null (default) means SBD through
+  /// the spectrum cache: Cluster() builds an SbdEngine over the input, so
+  /// every series' spectrum is computed once per call and every centroid's
+  /// once per iteration, and each ++-seeding or assignment distance is a
+  /// single inverse transform. Cached distances agree with the direct Sbd()
+  /// path within a tight tolerance (not bitwise — see core/sbd_engine.h),
+  /// and the cached pipeline stays bit-identical at every thread count.
+  /// Pointing this at an SbdDistance runs the per-pair Sbd() path instead
+  /// (the uncached reference: ++-seeding then also calls Sbd() per pair);
+  /// pointing it at a DtwMeasure gives the k-Shape+DTW ablation of Table 3.
+  /// The pointee must outlive the KShape instance.
   const distance::DistanceMeasure* assignment_distance = nullptr;
 
   /// Bound-driven assignment pruning. When true (default) AND the
   /// process-wide KSHAPE_PRUNE gate is on AND the run uses the SBD spectrum
-  /// cache (pruning needs cached spectra; it is silently inactive with
-  /// `use_spectrum_cache = false` or a custom `assignment_distance`), the
+  /// cache (pruning needs cached spectra; it is silently inactive with a
+  /// custom `assignment_distance`), the
   /// assignment step skips provably-unchanged work two ways:
   ///  1. Hamerly-style centroid-movement bounds in the sqrt(SBD) domain —
   ///     after refinement the k centroid-shift distances tighten per-series
@@ -99,10 +97,9 @@ struct KShapeOptions {
   // (cluster::MiniBatchKShape over a store::ShardedSeriesStore). The
   // in-memory KShape ignores all four.
 
-  /// Mini-batch size B: when > 0 AND the process-wide KSHAPE_SHARDS gate is
-  /// on, most sharded iterations sample B series (without replacement,
-  /// seeded from the run's rng) and run refinement + assignment on the
-  /// sample only; a full exact pass runs every `refresh_period` iterations
+  /// Mini-batch size B: when > 0, most sharded iterations sample B series
+  /// (without replacement, seeded from the run's rng) and run refinement +
+  /// assignment on the sample only; a full exact pass runs every `refresh_period` iterations
   /// (and on the final one), which is also where convergence is checked.
   /// 0 (the default) disables sampling entirely: every iteration is a full
   /// pass, and the sharded run reproduces the in-memory KShape bit for bit.

@@ -180,6 +180,7 @@ MultivariateClusteringResult MultivariateKShape::Cluster(
   const std::size_t n = series.size();
   const std::size_t d = series[0].num_channels();
   const std::size_t m = series[0].length();
+  KSHAPE_CHECK(m >= 1);
   for (const auto& s : series) CheckCompatible(series[0], s);
 
   MultivariateClusteringResult result;
@@ -190,23 +191,20 @@ MultivariateClusteringResult MultivariateKShape::Cluster(
 
   // Spectrum cache: each series' channel spectra are computed once per call
   // in a deterministic disjoint-write pre-pass; centroid spectra are
-  // refreshed once per iteration below.
-  const bool cached = options_.use_spectrum_cache && m >= 1;
-  const std::size_t fft_len = cached ? fft::NextPowerOfTwo(2 * m - 1) : 0;
-  std::vector<ChannelSpectra> series_cache;
-  if (cached) {
-    series_cache.resize(n);
-    common::ParallelFor(0, n, 1, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        series_cache[i] = MakeChannelSpectra(series[i], fft_len);
-      }
-    });
-  }
+  // refreshed once per iteration below. Each mSBD assignment distance is
+  // then d inverse transforms instead of d forward + inverse pairs, within a
+  // tight tolerance of MultivariateSbd() (see core/sbd_engine.h).
+  const std::size_t fft_len = fft::NextPowerOfTwo(2 * m - 1);
+  std::vector<ChannelSpectra> series_cache(n);
+  common::ParallelFor(0, n, 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      series_cache[i] = MakeChannelSpectra(series[i], fft_len);
+    }
+  });
   std::vector<ChannelSpectra> centroid_cache;
 
   auto assignment_distance = [&](int j, std::size_t i) {
-    if (cached) return CachedMsbdDistance(centroid_cache[j], series_cache[i], m);
-    return MultivariateSbd(result.centroids[j], series[i]).distance;
+    return CachedMsbdDistance(centroid_cache[j], series_cache[i], m);
   };
 
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
@@ -221,14 +219,11 @@ MultivariateClusteringResult MultivariateKShape::Cluster(
       result.centroids[j] = ExtractMultivariateShape(
           members, result.centroids[j], rng, options_.shape_options);
     }
-    if (cached) {
-      // k*d forward transforms per iteration; every centroid-to-series
-      // distance below reuses them as d inverse transforms.
-      centroid_cache.clear();
-      for (int j = 0; j < k; ++j) {
-        centroid_cache.push_back(
-            MakeChannelSpectra(result.centroids[j], fft_len));
-      }
+    // k*d forward transforms per iteration; every centroid-to-series
+    // distance below reuses them as d inverse transforms.
+    centroid_cache.clear();
+    for (int j = 0; j < k; ++j) {
+      centroid_cache.push_back(MakeChannelSpectra(result.centroids[j], fft_len));
     }
 
     // Assignment. Same disjoint-write pattern as univariate k-Shape, so the

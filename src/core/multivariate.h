@@ -79,15 +79,6 @@ common::Status ValidateMultivariateInputs(
 struct MultivariateKShapeOptions {
   int max_iterations = 100;
   ShapeExtractionOptions shape_options;
-
-  /// When true (default), Cluster() caches every channel's forward spectrum
-  /// once per call (and every centroid channel's once per iteration), so each
-  /// mSBD assignment distance is d inverse transforms instead of d packed
-  /// forward + inverse pairs. Cached distances agree with MultivariateSbd()
-  /// within a tight tolerance (not bitwise — see core/sbd_engine.h for the
-  /// contract); the cached pipeline itself is thread-count-invariant. False
-  /// forces per-pair MultivariateSbd(), kept for ablation.
-  bool use_spectrum_cache = true;
 };
 
 /// k-Shape over multivariate series: Algorithm 3 with mSBD assignments and

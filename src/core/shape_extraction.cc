@@ -65,27 +65,19 @@ ExtractedShape ExtractShapeImpl(
 }  // namespace
 
 ShapeAccumulator::ShapeAccumulator(tseries::SeriesView reference,
-                                   const ShapeExtractionOptions& options)
+                                   const ShapeExtractionOptions& /*options*/)
     : reference_(reference.begin(), reference.end()),
       align_(linalg::Norm(reference) > 0.0),
-      pool_mode_(options.use_matrix_free && options.use_power_iteration &&
-                 MatrixFreeEnabled()),
-      max_pool_rows_(options.matrix_free_max_members),
       mean_(reference.size(), 0.0) {
   KSHAPE_CHECK_MSG(!reference_.empty(), "empty shape-extraction reference");
-  // The whole point of pool mode is that the m×m Gram is never allocated;
-  // s_ stays 0x0 until a max-members spill (if any).
-  if (!pool_mode_) {
-    s_ = linalg::Matrix(reference.size(), reference.size());
-  }
 }
 
 void ShapeAccumulator::Add(tseries::SeriesView member) {
   const std::size_t m = reference_.size();
   KSHAPE_CHECK_MSG(member.size() == m, "member length mismatch");
   ++added_;
-  // Accumulate S = sum_i y_i y_i^T over the aligned, z-normalized members —
-  // as an explicit Gram in Gram mode, as pooled rows in matrix-free mode.
+  // Pool the aligned, z-normalized members y_i; S = sum_i y_i y_i^T is
+  // applied from the pool (or folded from it for a dense solve) in Finish.
   // Members that z-normalize to the zero series (constant after alignment)
   // contribute nothing to S or the mean; they are skipped so a fully
   // degenerate member set can be detected instead of feeding the zero matrix
@@ -95,39 +87,14 @@ void ShapeAccumulator::Add(tseries::SeriesView member) {
                                                      member.end());
   tseries::ZNormalizeInPlace(&aligned);
   if (linalg::Norm(aligned) == 0.0) return;
-  if (pool_mode_) {
-    pool_.Append(aligned);
-    if (max_pool_rows_ > 0 && pool_.size() > max_pool_rows_) {
-      SpillPoolToGram();
-    }
-  } else {
-    // Upper triangle only (S is symmetric); mirrored once in Finish at half
-    // the accumulation cost, bit-identical to the full outer products.
-    s_.AddSymmetricOuterProduct(aligned);
-  }
+  pool_.Append(aligned);
   linalg::Axpy(1.0, aligned, &mean_);
   ++used_;
 }
 
-void ShapeAccumulator::SpillPoolToGram() {
-  const std::size_t m = reference_.size();
-  s_ = linalg::Matrix(m, m);
-  for (std::size_t r = 0; r < pool_.size(); ++r) {
-    s_.AddSymmetricOuterProduct(pool_.view(r));
-  }
-  pool_ = tseries::SeriesStore();
-  pool_mode_ = false;
-}
-
 linalg::Matrix ShapeAccumulator::MirroredGram() const {
-  if (!pool_mode_) {
-    linalg::Matrix s = s_;
-    s.MirrorUpperToLower();
-    return s;
-  }
-  // Crossover (small cluster) or eigensolver fallback: fold the pooled rows
-  // into the Gram they would have accumulated — same rows, same order, so
-  // the result is bit-identical to Gram mode on this member sequence.
+  // Upper triangle only (S is symmetric), mirrored once at half the
+  // accumulation cost — bit-identical to the full outer products.
   const std::size_t m = reference_.size();
   linalg::Matrix s(m, m);
   for (std::size_t r = 0; r < pool_.size(); ++r) {
@@ -148,9 +115,8 @@ ExtractedShape ShapeAccumulator::Finish(
     return result;
   }
   // Crossover: tiny clusters pay more in per-step fan-out than the small
-  // Gram costs, so they fold the pool into the dense path (bit-identical to
-  // Gram mode; the pooled rows ARE the Gram's member sequence).
-  if (pool_mode_ && options.use_matrix_free && options.use_power_iteration &&
+  // Gram costs, so they fold the pool into the dense path.
+  if (options.use_power_iteration &&
       used_ >= options.matrix_free_min_members) {
     return FinishMatrixFree(rng, options);
   }
@@ -197,10 +163,9 @@ ExtractedShape ShapeAccumulator::FinishMatrixFree(
   const std::size_t m = reference_.size();
   // M·v = Q(S(Qv)) with Qv = v − mean(v)·1 (rank-one centering) and
   // S(u) = Σ yᵢ(yᵢ·u) applied row-wise over the pooled members: O(n_c·m)
-  // per power step, the Gram never formed. The pool holds exactly the
-  // non-degenerate aligned rows, so S here is the same sum the Gram path
-  // accumulates (up to summation order — the epsilon-level difference the
-  // gate-equivalence tests allow for).
+  // per power step, the Gram never formed. S here is the same sum the dense
+  // solve folds from the pool, up to summation order — the epsilon-level
+  // difference the matrix-free-vs-dense tests allow for.
   linalg::RowPoolMatVec pool_op(pool_.data(), pool_.size(), m);
   std::vector<double> centered(m);
   const linalg::MatVecFn matvec = [&](const std::vector<double>& v,

@@ -6,20 +6,9 @@
 
 #include "common/random.h"
 #include "linalg/matrix.h"
-#include "linalg/row_pool.h"
 #include "tseries/time_series.h"
 
 namespace kshape::core {
-
-/// The process-wide KSHAPE_MATFREE gate (see linalg/row_pool.h — it lives
-/// beneath core because the KSC centroid consults it too). "off" forces the
-/// dense Gram path everywhere, bit-identically to the pre-matrix-free
-/// implementation; the CI matrix runs a KSHAPE_MATFREE=off leg against the
-/// same tests to hold that equivalence.
-inline bool MatrixFreeEnabled() { return linalg::MatrixFreeEnabled(); }
-inline void SetMatrixFreeEnabledForTesting(bool enabled) {
-  linalg::SetMatrixFreeEnabledForTesting(enabled);
-}
 
 /// Options for ExtractShape.
 struct ShapeExtractionOptions {
@@ -42,35 +31,19 @@ struct ShapeExtractionOptions {
   /// eigensolver's tolerance.
   bool warm_start = true;
 
-  /// When true (default) — and the process-wide KSHAPE_MATFREE gate agrees —
-  /// the eigenproblem runs matrix-free: members are pooled as aligned
-  /// z-normalized rows (O(n_c·m) memory) instead of being folded into the
-  /// m×m Gram matrix S, and each power-iteration step applies
-  /// M·v = Q(Σ yᵢ(yᵢ·(Qv))) with the rank-one centering Qv = v − mean(v)·1
-  /// in O(n_c·m) — versus O(n_c·m²) to accumulate S plus O(m²) per step.
-  /// With warm starts converging in ~5–20 steps this is an ~m/iters win on
-  /// the extraction phase. The matrix-free and Gram paths agree to epsilon
-  /// (different summation order), not bitwise; end-to-end labels match in
-  /// practice (pinned by the gate-equivalence tests). Only applies on the
-  /// power-iteration path — the full-eigensolver ablation needs the dense
-  /// matrix regardless.
-  bool use_matrix_free = true;
-
-  /// Crossover: clusters with fewer than this many contributing members take
-  /// the dense Gram path even when matrix-free is enabled (bit-identical to
-  /// use_matrix_free = false). For tiny clusters the per-step fan-out and
-  /// pool bookkeeping cost more than the small Gram they avoid; the default
-  /// comes from bench/shape_extraction sweeps.
+  /// Crossover: clusters with at least this many contributing members solve
+  /// the eigenproblem matrix-free — each power-iteration step applies
+  /// M·v = Q(Σ yᵢ(yᵢ·(Qv))) over the pooled aligned z-normalized rows, with
+  /// the rank-one centering Qv = v − mean(v)·1, in O(n_c·m) instead of
+  /// O(n_c·m²) to accumulate the m×m Gram S plus O(m²) per step. Smaller
+  /// clusters build the dense Gram from the same rows, because for them the
+  /// per-step fan-out costs more than the small Gram it avoids; the default
+  /// comes from bench/shape_extraction sweeps. The two solves agree to
+  /// epsilon (different summation order), not bitwise; SIZE_MAX forces the
+  /// dense solve everywhere, the reference the equivalence tests compare
+  /// against. Only the power-iteration path is matrix-free: the
+  /// full-eigensolver ablation always needs the dense matrix.
   std::size_t matrix_free_min_members = 8;
-
-  /// Memory bound for the matrix-free member pool, in rows; 0 = unbounded.
-  /// When an accumulator exceeds it, the pooled rows are folded into the
-  /// Gram matrix (same rows, same order — bit-identical to having
-  /// accumulated the Gram from the start) and the pool is released, so
-  /// extraction memory never exceeds max(m², cap·m) per cluster. The
-  /// out-of-core driver sets this from its shard-residency budget; in-memory
-  /// callers leave it unbounded (the pool is at most the corpus itself).
-  std::size_t matrix_free_max_members = 0;
 };
 
 /// Shape extraction, Algorithm 2 of the paper.
@@ -144,42 +117,37 @@ ExtractedShape ExtractShapeIndexedFlagged(
 /// centroids to ExtractShapeFlagged — the equivalence the sharded-vs-
 /// contiguous clustering tests rely on.
 ///
-/// Storage mode is fixed at construction from the options and the
-/// KSHAPE_MATFREE gate. In matrix-free mode the accumulator stores the
-/// aligned z-normalized members in a contiguous row-major pool (the m×m Gram
-/// is never allocated) and Finish power-iterates through
-/// linalg::DominantEigenvectorOp with a deterministic fan-out over member
-/// blocks (linalg::RowPoolMatVec) — bit-identical at any thread count and
-/// across SIMD backends, epsilon-equal to the Gram path. Small member sets
-/// (below matrix_free_min_members) and pools exceeding
-/// matrix_free_max_members cross back to the Gram path bit-identically.
+/// The accumulator stores the aligned z-normalized members in a contiguous
+/// row-major pool (O(n_c·m) memory; the m×m Gram is never accumulated).
+/// Finish power-iterates through linalg::DominantEigenvectorOp with a
+/// deterministic fan-out over member blocks (linalg::RowPoolMatVec) —
+/// bit-identical at any thread count and across SIMD backends. Wherever a
+/// dense solve runs instead (clusters below matrix_free_min_members,
+/// use_power_iteration = false, the eigensolver's stall fallback) the Gram is
+/// built from the pool in Add order, bit-identical to accumulating it member
+/// by member.
 ///
 /// Usage: construct with the alignment reference (the previous centroid; the
-/// reference is copied, so the view may die immediately) and the same options
-/// later passed to Finish(), Add() each member in a deterministic order, then
-/// Finish(). Not thread-safe; one accumulator per cluster, fed from the
-/// coordinating thread (Finish's matrix-free path fans out internally).
+/// reference is copied, so the view may die immediately), Add() each member
+/// in a deterministic order, then Finish(). Not thread-safe; one accumulator
+/// per cluster, fed from the coordinating thread (Finish's matrix-free path
+/// fans out internally).
 class ShapeAccumulator {
  public:
   /// `reference` must be non-empty; its length fixes the member length. A
   /// zero-norm reference (the all-zero initial centroid) disables alignment,
-  /// as in ExtractShape. `options` selects the storage mode (matrix-free
-  /// pool vs dense Gram) together with the process-wide gate.
+  /// as in ExtractShape. `options` is accepted for symmetry with Finish,
+  /// which is where it takes effect.
   explicit ShapeAccumulator(tseries::SeriesView reference,
                             const ShapeExtractionOptions& options = {});
 
-  /// Folds one member into the running state (pooled row or Gram update,
-  /// plus the mean). Members that z-normalize to the zero series after
-  /// alignment are counted but contribute nothing (the degenerate-set rule
-  /// of ExtractShapeFlagged).
+  /// Folds one member into the running state (pooled row plus the mean).
+  /// Members that z-normalize to the zero series after alignment are counted
+  /// but contribute nothing (the degenerate-set rule of ExtractShapeFlagged).
   void Add(tseries::SeriesView member);
 
   /// Number of Add() calls so far (including degenerate members).
   std::size_t members_added() const { return added_; }
-
-  /// True while members are pooled for the matrix-free eigenproblem (no Gram
-  /// allocated); false in Gram mode, including after a max-members spill.
-  bool matrix_free_active() const { return pool_mode_; }
 
   /// Solves the eigenproblem over everything added so far. Leaves the
   /// accumulator intact (Finish is const: mirroring/centering work on
@@ -191,14 +159,8 @@ class ShapeAccumulator {
                         const ShapeExtractionOptions& options = {}) const;
 
  private:
-  // Folds the pooled rows into the Gram and releases the pool (the
-  // matrix_free_max_members bound). Bit-identical to having accumulated the
-  // Gram from the first Add.
-  void SpillPoolToGram();
-
-  // The symmetric Gram S = Σ yᵢyᵢᵀ, mirrored to both triangles — from s_ in
-  // Gram mode, or folded on the fly from the pool (same rows, same order) on
-  // the matrix-free crossover/fallback.
+  // The symmetric Gram S = Σ yᵢyᵢᵀ folded from the pool in Add order and
+  // mirrored to both triangles, for the dense solves.
   linalg::Matrix MirroredGram() const;
 
   ExtractedShape FinishDense(common::Rng* rng,
@@ -208,10 +170,7 @@ class ShapeAccumulator {
 
   tseries::Series reference_;
   bool align_ = false;
-  bool pool_mode_ = false;
-  std::size_t max_pool_rows_ = 0;
-  linalg::Matrix s_;           // Gram upper triangle; 0x0 in pool mode.
-  tseries::SeriesStore pool_;  // Aligned z-normalized members in pool mode.
+  tseries::SeriesStore pool_;  // Aligned z-normalized members.
   std::vector<double> mean_;
   std::size_t used_ = 0;
   std::size_t added_ = 0;

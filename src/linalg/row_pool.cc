@@ -3,23 +3,10 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/env_gate.h"
 #include "common/parallel.h"
 #include "simd/dispatch.h"
 
 namespace kshape::linalg {
-
-namespace {
-
-common::EnvGate g_matrix_free{"KSHAPE_MATFREE"};
-
-}  // namespace
-
-bool MatrixFreeEnabled() { return g_matrix_free.enabled(); }
-
-void SetMatrixFreeEnabledForTesting(bool enabled) {
-  g_matrix_free.SetForTesting(enabled);
-}
 
 namespace {
 

@@ -7,19 +7,6 @@
 
 namespace kshape::linalg {
 
-/// Process-wide matrix-free-extraction gate, resolved lazily from
-/// KSHAPE_MATFREE: "on" or unset enables the matrix-free eigenproblem paths
-/// (shape extraction and the KSC centroid, each still subject to its own
-/// option), "off" forces the dense Gram paths everywhere — bit-identically
-/// to the pre-matrix-free implementation — without touching call sites;
-/// anything else aborts. Lives here (not in core) because both core's shape
-/// extraction and cluster's KSC consult it, and linalg is beneath both.
-bool MatrixFreeEnabled();
-
-/// Overrides the gate for the rest of the process (tests/benches comparing
-/// both paths in one run). Call between, not during, extractions.
-void SetMatrixFreeEnabledForTesting(bool enabled);
-
 /// Deterministic parallel matvec against a contiguous row-major pool of
 /// equal-length rows: Apply(u, out) computes
 ///

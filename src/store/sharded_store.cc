@@ -13,7 +13,6 @@
 #include <system_error>
 
 #include "common/check.h"
-#include "common/env_gate.h"
 
 namespace kshape::store {
 
@@ -24,8 +23,6 @@ namespace {
 constexpr const char* kMetaFile = "meta.txt";
 constexpr const char* kMagic = "kshape-sharded-store v1";
 
-common::EnvGate g_sharding{"KSHAPE_SHARDS"};
-
 std::string FileSizeError(const std::string& path, std::uintmax_t expected,
                           std::uintmax_t actual) {
   std::ostringstream oss;
@@ -35,12 +32,6 @@ std::string FileSizeError(const std::string& path, std::uintmax_t expected,
 }
 
 }  // namespace
-
-bool ShardingEnabled() { return g_sharding.enabled(); }
-
-void SetShardingEnabledForTesting(bool enabled) {
-  g_sharding.SetForTesting(enabled);
-}
 
 tseries::SeriesBatch ShardView::batch() const {
   KSHAPE_CHECK_MSG(store_ != nullptr, "batch() on a default ShardView");

@@ -11,22 +11,6 @@
 
 namespace kshape::store {
 
-/// Process-wide sharding gate, resolved once on first use from the
-/// KSHAPE_SHARDS environment variable: "off" disables the mini-batch
-/// sampling path of the sharded clustering driver (every iteration runs a
-/// full exact assignment pass — the sharded runs then reproduce the
-/// in-memory KShape bit for bit), "on" or unset enables it, anything else
-/// aborts. Same layering as KSHAPE_PRUNE / KSHAPE_HALF_SPECTRUM: sampling
-/// runs only when both KShapeOptions::minibatch_size and this gate say yes,
-/// so one environment variable can force the exact behavior for A/B runs
-/// without touching call sites.
-bool ShardingEnabled();
-
-/// Replaces the gate for the rest of the process (tests comparing sampled
-/// and exact paths in one run). Call from a single thread, between parallel
-/// regions.
-void SetShardingEnabledForTesting(bool enabled);
-
 /// Geometry and residency budget of a sharded store.
 struct ShardedStoreOptions {
   /// Rows per shard file (the last shard may hold fewer). Must be >= 1.

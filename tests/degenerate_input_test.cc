@@ -157,7 +157,7 @@ class AlgorithmFixture {
 
     Add("k-Shape", std::make_unique<core::KShape>());
     core::KShapeOptions uncached;
-    uncached.use_spectrum_cache = false;
+    uncached.assignment_distance = sbd_.get();
     Add("k-Shape (no cache)", std::make_unique<core::KShape>(uncached));
     Add("k-AVG+ED", std::make_unique<cluster::KMeans>(ed_.get(), mean_.get(),
                                                       "k-AVG+ED"));

@@ -13,7 +13,7 @@
 // On top of it: mini-batch mode is deterministic for a fixed seed across
 // threads / backends / shard geometry (the sample is drawn on the
 // coordinating thread), its telemetry partitions B*k on sampled iterations
-// and n*k on full passes, the KSHAPE_SHARDS gate forces the exact path, its
+// and n*k on full passes, a batch of at least n forces the exact path, its
 // clustering quality tracks the exact run (ARI sweep over seeds and both
 // power-of-two and non-power-of-two lengths), and the TryCluster Status
 // boundary rejects malformed stores instead of aborting.
@@ -54,22 +54,20 @@ using store::ShardedSeriesStore;
 using tseries::Series;
 
 // Pins every process-wide gate to its documented default on entry (so a
-// CI leg exporting KSHAPE_SHARDS=off / KSHAPE_PRUNE=off cannot starve the
-// tests that need sampling or pruning active — each case states its own
+// CI leg exporting KSHAPE_PRUNE=off cannot starve the tests that need
+// pruning active — each case states its own
 // configuration) and restores the defaults on exit, so cases can't leak
 // configuration into each other.
 struct ConfigGuard {
   ConfigGuard() {
     core::SetPruningEnabledForTesting(true);
     fft::SetHalfSpectrumEnabledForTesting(true);
-    store::SetShardingEnabledForTesting(true);
   }
   ~ConfigGuard() {
     common::SetThreadCount(saved_threads);
     simd::SetBackendForTesting(saved_backend);
     core::SetPruningEnabledForTesting(true);
     fft::SetHalfSpectrumEnabledForTesting(true);
-    store::SetShardingEnabledForTesting(true);
   }
   int saved_threads = common::ThreadCount();
   simd::Backend saved_backend = simd::ActiveBackend();
@@ -324,7 +322,7 @@ TEST(MiniBatchKShapeTest, VerifyPruningSeesNoMismatchesSharded) {
 // Mini-batch mode.
 // ---------------------------------------------------------------------------
 
-TEST(MiniBatchKShapeTest, ShardsGateOffForcesTheExactPath) {
+TEST(MiniBatchKShapeTest, BatchOfAtLeastNRunsTheExactPath) {
   ConfigGuard guard;
   const std::size_t n = 30, m = 31;
   const int k = 3;
@@ -332,16 +330,15 @@ TEST(MiniBatchKShapeTest, ShardsGateOffForcesTheExactPath) {
 
   core::KShapeOptions exact = ShardedOptions(7, 4);
   const auto [reference, ref_store] =
-      RunSharded(exact, series, k, 67, "gate_exact");
+      RunSharded(exact, series, k, 67, "full_batch_exact");
 
   core::KShapeOptions minibatch = exact;
-  minibatch.minibatch_size = 8;
-  store::SetShardingEnabledForTesting(false);
+  minibatch.minibatch_size = n;
   const auto [result, store] =
-      RunSharded(minibatch, series, k, 67, "gate_off");
-  // With the gate off, minibatch_size is ignored: every iteration is a full
-  // pass and the run reproduces the exact one bit for bit.
-  ExpectBitIdentical(result, reference, "KSHAPE_SHARDS=off");
+      RunSharded(minibatch, series, k, 67, "full_batch");
+  // A batch that covers the corpus samples nothing: every iteration is a
+  // full pass and the run reproduces the exact one bit for bit.
+  ExpectBitIdentical(result, reference, "minibatch_size = n");
   EXPECT_EQ(result.sampled_series, 0);
 }
 
@@ -599,12 +596,6 @@ TEST(MiniBatchKShapeTest, ShardBatchRejectsAnEmptyBatch) {
       empty, ::testing::TempDir() + "/kshape_mb_empty", ShardedOptions(4, 2));
   ASSERT_FALSE(sharded.ok());
   EXPECT_EQ(sharded.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(MiniBatchKShapeDeathTest, RequiresTheSpectrumCachePath) {
-  core::KShapeOptions options;
-  options.use_spectrum_cache = false;
-  EXPECT_DEATH(MiniBatchKShape{options}, "spectrum-cache");
 }
 
 TEST(MiniBatchKShapeDeathTest, RejectsCustomAssignmentDistances) {

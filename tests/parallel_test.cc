@@ -143,11 +143,13 @@ TEST(ParallelInvarianceTest, KShapeFullRunPlusPlusInit) {
 }
 
 TEST(ParallelInvarianceTest, KShapeFullRunWithoutSpectrumCache) {
-  // The per-pair ablation path must stay invariant too — it is the reference
-  // the cached pipeline is tolerance-tested against.
+  // The per-pair path (an SbdDistance assignment distance) must stay
+  // invariant too — it is the reference the cached pipeline is
+  // tolerance-tested against.
   const std::vector<Series> series = MakeSeries(36, 64, 3);
+  const core::SbdDistance sbd;
   core::KShapeOptions options;
-  options.use_spectrum_cache = false;
+  options.assignment_distance = &sbd;
   const core::KShape algorithm(options);
   ExpectInvariant<cluster::ClusteringResult>(
       [&] {
@@ -166,17 +168,10 @@ TEST(ParallelInvarianceTest, MatrixFreeShapeExtraction) {
   // block partials is race-checked here too.
   const std::vector<Series> members = MakeSeries(48, 96, 17);
   const Series reference = tseries::ZNormalized(members[0]);
-  // Force the path under test even on the CI leg that exports
-  // KSHAPE_MATFREE=off for the rest of the suite.
-  const bool saved_gate = core::MatrixFreeEnabled();
-  core::SetMatrixFreeEnabledForTesting(true);
-  {
-    const core::ShapeAccumulator probe(reference);
-    ASSERT_TRUE(probe.matrix_free_active());
-  }
   for (const bool warm : {false, true}) {
     core::ShapeExtractionOptions options;
     options.warm_start = warm;
+    ASSERT_GE(members.size(), options.matrix_free_min_members);
     ExpectInvariant<Series>(
         [&] {
           common::Rng rng(19);
@@ -187,7 +182,6 @@ TEST(ParallelInvarianceTest, MatrixFreeShapeExtraction) {
         warm ? "matrix-free extraction (warm)"
              : "matrix-free extraction (cold)");
   }
-  core::SetMatrixFreeEnabledForTesting(saved_gate);
 }
 
 TEST(ParallelInvarianceTest, SbdEnginePairwiseMatrix) {
@@ -291,14 +285,15 @@ TEST(ParallelInvarianceTest, KShapeOnConditionedCorruptedCorpus) {
 }
 
 TEST(ParallelInvarianceTest, CachedAndUncachedSbdAgreeOnConditionedLabels) {
-  // Identical seeds must give identical labels whether the SBD spectrum
-  // cache is on or off, at every thread count. Centroids are not compared:
-  // the cached distances agree within a tolerance, not bitwise, so only the
-  // discrete outputs (assignments, iteration count, telemetry) are required
-  // to coincide.
+  // Identical seeds must give identical labels whether SBD runs through the
+  // spectrum cache or per pair, at every thread count. Centroids are not
+  // compared: the cached distances agree within a tolerance, not bitwise, so
+  // only the discrete outputs (assignments, iteration count, telemetry) are
+  // required to coincide.
   const tseries::Dataset dataset = MakeConditionedCorruptedDataset(33);
+  const core::SbdDistance sbd;
   core::KShapeOptions uncached_options;
-  uncached_options.use_spectrum_cache = false;
+  uncached_options.assignment_distance = &sbd;
   const core::KShape cached;
   const core::KShape uncached(uncached_options);
 

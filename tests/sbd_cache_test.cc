@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -188,8 +189,9 @@ TEST(SbdCacheTest, CachedKShapeMatchesUncachedAssignments) {
   const std::vector<Series> series = MakeSeries(45, 64, 9);
   core::KShapeOptions cached_options;
   cached_options.init = core::KShapeInit::kPlusPlusSeeding;
+  const core::SbdDistance sbd;
   core::KShapeOptions uncached_options = cached_options;
-  uncached_options.use_spectrum_cache = false;
+  uncached_options.assignment_distance = &sbd;
   const core::KShape cached(cached_options);
   const core::KShape uncached(uncached_options);
 
@@ -230,7 +232,11 @@ TEST(SbdCacheTest, CachedOneNnMatchesUncachedMeasure) {
             classify::KnnAccuracy(train, test, plain, 3));
 }
 
-TEST(SbdCacheTest, CachedMultivariateMatchesUncached) {
+TEST(SbdCacheTest, CachedMultivariateLabelsArePerPairArgmins) {
+  // The cached mSBD assignment must pick the same centroid the per-pair
+  // MultivariateSbd() would: distances differ only in the last ulps, which
+  // on this data never flips an argmin, so the converged labels are a fixed
+  // point of per-pair assignment against the final centroids.
   std::vector<core::MultivariateSeries> series;
   common::Rng rng(13);
   for (int i = 0; i < 21; ++i) {
@@ -240,20 +246,24 @@ TEST(SbdCacheTest, CachedMultivariateMatchesUncached) {
         tseries::ZNormalized(data::MakeCbf((i + 2) % 3, 48, &rng)));
     series.push_back(std::move(s));
   }
-  core::MultivariateKShapeOptions cached_options;
-  core::MultivariateKShapeOptions uncached_options;
-  uncached_options.use_spectrum_cache = false;
-  const core::MultivariateKShape cached(cached_options);
-  const core::MultivariateKShape uncached(uncached_options);
-  common::Rng rng_a(14);
-  common::Rng rng_b(14);
-  const core::MultivariateClusteringResult a = cached.Cluster(series, 3,
-                                                              &rng_a);
-  const core::MultivariateClusteringResult b = uncached.Cluster(series, 3,
-                                                                &rng_b);
-  EXPECT_EQ(a.assignments, b.assignments);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.converged, b.converged);
+  const core::MultivariateKShape cached;
+  common::Rng cluster_rng(14);
+  const core::MultivariateClusteringResult result =
+      cached.Cluster(series, 3, &cluster_rng);
+  ASSERT_TRUE(result.converged);
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    int best = 0;
+    double best_dist = std::numeric_limits<double>::infinity();
+    for (int j = 0; j < 3; ++j) {
+      const double d =
+          core::MultivariateSbd(result.centroids[j], series[i]).distance;
+      if (d < best_dist) {
+        best_dist = d;
+        best = j;
+      }
+    }
+    EXPECT_EQ(result.assignments[i], best) << "series " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

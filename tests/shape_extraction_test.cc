@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -323,16 +324,6 @@ TEST(ShapeExtractionTest, AccumulatorFinishIsRepeatable) {
 // the m×m Gram never formed) — equivalence, determinism, and crossover.
 // ---------------------------------------------------------------------------
 
-// Restores the process-wide KSHAPE_MATFREE gate toggled by the tests below.
-class MatrixFreeGateGuard {
- public:
-  MatrixFreeGateGuard() : saved_(MatrixFreeEnabled()) {}
-  ~MatrixFreeGateGuard() { SetMatrixFreeEnabledForTesting(saved_); }
-
- private:
-  bool saved_;
-};
-
 class HalfSpectrumGateGuard {
  public:
   HalfSpectrumGateGuard() : saved_(fft::HalfSpectrumEnabled()) {}
@@ -376,16 +367,67 @@ Series ExtractWith(const std::vector<Series>& members, const Series& reference,
   return ExtractShape(members, reference, &rng, options);
 }
 
+// The dense reference: the Gram is folded from the pool for every cluster
+// size, never applied matrix-free.
+ShapeExtractionOptions DenseOptions(ShapeExtractionOptions options = {}) {
+  options.matrix_free_min_members = SIZE_MAX;
+  return options;
+}
+
+// Test-local dense pipeline: align, z-normalize and skip zero rows as Add
+// does, accumulate the Gram upper triangle, mirror it, and center it as
+// M_ij = S_ij - rowmean_i - colmean_j + grand into a fresh matrix. `mean`
+// receives the sum of the contributing rows (for the sign choice).
+linalg::Matrix CenteredGramReference(const std::vector<Series>& members,
+                                     const Series& reference,
+                                     std::vector<double>* mean) {
+  const std::size_t m = reference.size();
+  linalg::Matrix s(m, m);
+  mean->assign(m, 0.0);
+  for (const Series& member : members) {
+    Series aligned = Sbd(reference, member).aligned_y;
+    tseries::ZNormalizeInPlace(&aligned);
+    if (linalg::Norm(aligned) == 0.0) continue;
+    s.AddSymmetricOuterProduct(aligned);
+    linalg::Axpy(1.0, aligned, mean);
+  }
+  s.MirrorUpperToLower();
+  std::vector<double> row_mean(m, 0.0);
+  std::vector<double> col_mean(m, 0.0);
+  for (std::size_t i = 0; i < m; ++i) {
+    row_mean[i] = simd::Active().sum(s.Row(i), m);
+    simd::Active().axpy(1.0, s.Row(i), col_mean.data(), m);
+  }
+  double grand = simd::Sum(row_mean);
+  const double inv_m = 1.0 / static_cast<double>(m);
+  simd::Scale(row_mean, inv_m);
+  simd::Scale(col_mean, inv_m);
+  grand *= inv_m * inv_m;
+  linalg::Matrix centered(m, m);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      centered(i, j) = s(i, j) - row_mean[i] - col_mean[j] + grand;
+    }
+  }
+  return centered;
+}
+
+// The sign choice and z-normalization Finish applies to every eigenvector.
+Series OrientAndNormalize(std::vector<double> centroid,
+                          const std::vector<double>& mean) {
+  if (linalg::Dot(centroid, mean) < 0.0) linalg::Scale(&centroid, -1.0);
+  tseries::ZNormalizeInPlace(&centroid);
+  return centroid;
+}
+
 TEST(MatrixFreeExtractionTest, MatchesGramPathAcrossConfigs) {
   // The tentpole equivalence statement: matrix-free and Gram extraction
   // agree to epsilon (different summation order, not bitwise) under every
   // combination of thread count x SIMD backend x warm/cold start x spectrum
   // layout. Both paths are given identical RNG seeds; warm starts draw
   // nothing, cold starts draw the same start vector.
-  MatrixFreeGateGuard gate_guard;
   HalfSpectrumGateGuard spectrum_guard;
   SimdBackendGuard backend_guard;
-  SetMatrixFreeEnabledForTesting(true);
 
   const std::size_t m = 64;
   const std::vector<Series> members = NoisySineCorpus(24, m, 41);
@@ -404,9 +446,8 @@ TEST(MatrixFreeExtractionTest, MatchesGramPathAcrossConfigs) {
           const Series& reference = warm ? warm_reference : Series(m, 0.0);
           ShapeExtractionOptions matfree;
           matfree.warm_start = warm;
-          matfree.use_matrix_free = true;
-          ShapeExtractionOptions gram = matfree;
-          gram.use_matrix_free = false;
+          ASSERT_GE(members.size(), matfree.matrix_free_min_members);
+          const ShapeExtractionOptions gram = DenseOptions(matfree);
 
           const Series via_pool = ExtractWith(members, reference, 43, matfree);
           const Series via_gram = ExtractWith(members, reference, 43, gram);
@@ -429,9 +470,7 @@ TEST(MatrixFreeExtractionTest, BitIdenticalAcrossThreadCountsAndBackends) {
   // and the block partials reduce in a fixed order with no-FMA fixed-lane
   // kernels — so the centroid is bit-for-bit identical at any parallelism
   // level and across SIMD backends.
-  MatrixFreeGateGuard gate_guard;
   SimdBackendGuard backend_guard;
-  SetMatrixFreeEnabledForTesting(true);
 
   const std::size_t m = 96;
   const std::vector<Series> members = NoisySineCorpus(40, m, 47);
@@ -458,96 +497,58 @@ TEST(MatrixFreeExtractionTest, BitIdenticalAcrossThreadCountsAndBackends) {
   }
 }
 
-TEST(MatrixFreeExtractionTest, GateOffRestoresGramPathBitwise) {
-  // KSHAPE_MATFREE=off must force the Gram path process-wide: identical bits
-  // to use_matrix_free = false, and the accumulator must never enter pool
-  // mode regardless of the per-call option.
-  MatrixFreeGateGuard gate_guard;
+TEST(MatrixFreeExtractionTest, FullEigensolverReadsThePoolBitwise) {
+  // use_power_iteration = false folds the Gram from the pooled rows in Add
+  // order: bit-identical to a Gram accumulated member by member, then
+  // mirrored, centered and fully decomposed.
   const std::size_t m = 48;
   const std::vector<Series> members = NoisySineCorpus(16, m, 59);
   const Series reference = tseries::ZNormalized(Sine(m, 2.0, 0.3));
 
-  SetMatrixFreeEnabledForTesting(true);
-  ShapeExtractionOptions gram_options;
-  gram_options.use_matrix_free = false;
-  const Series gram = ExtractWith(members, reference, 61, gram_options);
+  ShapeExtractionOptions full;
+  full.use_power_iteration = false;
+  const Series production = ExtractWith(members, reference, 61, full);
 
-  SetMatrixFreeEnabledForTesting(false);
-  ShapeAccumulator accumulator(reference);  // Default options: matrix-free.
-  EXPECT_FALSE(accumulator.matrix_free_active());
-  const Series gated = ExtractWith(members, reference, 61, {});
-  ASSERT_EQ(gated.size(), gram.size());
+  std::vector<double> mean;
+  const linalg::Matrix centered =
+      CenteredGramReference(members, reference, &mean);
+  const linalg::EigenDecomposition decomp = linalg::SymmetricEigen(centered);
+  const Series expected =
+      OrientAndNormalize(decomp.eigenvectors.ColVector(m - 1), mean);
+
+  ASSERT_EQ(production.size(), expected.size());
   for (std::size_t t = 0; t < m; ++t) {
-    EXPECT_EQ(gated[t], gram[t]) << "t=" << t;
+    EXPECT_EQ(production[t], expected[t]) << "t=" << t;
   }
 }
 
 TEST(MatrixFreeExtractionTest, CrossoverBelowMinMembersMatchesGramBitwise) {
-  // Small clusters pool their members but Finish crosses back to the dense
-  // path: folding the pooled rows into the Gram in Add-order reproduces the
-  // Gram-mode accumulation bit for bit, so the crossover is invisible.
-  MatrixFreeGateGuard gate_guard;
-  SetMatrixFreeEnabledForTesting(true);
+  // Small clusters pool their members but Finish crosses over to the dense
+  // path: bit for bit the forced-dense result, not an epsilon-close
+  // matrix-free one.
   const std::size_t m = 40;
   const std::vector<Series> members = NoisySineCorpus(5, m, 67);
   const Series reference = tseries::ZNormalized(Sine(m, 2.0, 0.4));
 
   ShapeExtractionOptions pooled;  // Default min_members = 8 > 5 members.
   ASSERT_LT(members.size(), pooled.matrix_free_min_members);
-  ShapeExtractionOptions gram = pooled;
-  gram.use_matrix_free = false;
-
-  ShapeAccumulator accumulator(reference, pooled);
-  for (const Series& s : members) accumulator.Add(s);
-  EXPECT_TRUE(accumulator.matrix_free_active());  // Pooled, yet...
 
   const Series via_pool = ExtractWith(members, reference, 71, pooled);
-  const Series via_gram = ExtractWith(members, reference, 71, gram);
+  const Series via_gram = ExtractWith(members, reference, 71, DenseOptions());
   for (std::size_t t = 0; t < m; ++t) {
-    EXPECT_EQ(via_pool[t], via_gram[t]) << "t=" << t;  // ...bitwise Gram.
-  }
-}
-
-TEST(MatrixFreeExtractionTest, MaxMembersSpillMatchesGramBitwise) {
-  // The memory bound: exceeding matrix_free_max_members folds the pool into
-  // the Gram mid-accumulation. Same rows, same order — bit-identical to
-  // having accumulated the Gram from the first Add.
-  MatrixFreeGateGuard gate_guard;
-  SetMatrixFreeEnabledForTesting(true);
-  const std::size_t m = 40;
-  const std::vector<Series> members = NoisySineCorpus(12, m, 73);
-  const Series reference = tseries::ZNormalized(Sine(m, 2.0, 0.5));
-
-  ShapeExtractionOptions capped;
-  capped.matrix_free_max_members = 4;
-  ShapeExtractionOptions gram;
-  gram.use_matrix_free = false;
-
-  ShapeAccumulator accumulator(reference, capped);
-  for (const Series& s : members) accumulator.Add(s);
-  EXPECT_FALSE(accumulator.matrix_free_active());  // Spilled.
-
-  common::Rng rng_capped(79);
-  const ExtractedShape spilled = accumulator.Finish(&rng_capped, capped);
-  const Series via_gram = ExtractWith(members, reference, 79, gram);
-  ASSERT_EQ(spilled.centroid.size(), via_gram.size());
-  for (std::size_t t = 0; t < m; ++t) {
-    EXPECT_EQ(spilled.centroid[t], via_gram[t]) << "t=" << t;
+    EXPECT_EQ(via_pool[t], via_gram[t]) << "t=" << t;
   }
 }
 
 TEST(MatrixFreeExtractionTest, DegenerateMembersAndZeroReferenceParity) {
-  // Constant members (z-normalize to zero) are dropped by both storage
-  // modes; a fully degenerate set yields the flagged zero centroid in both.
-  MatrixFreeGateGuard gate_guard;
-  SetMatrixFreeEnabledForTesting(true);
+  // Constant members (z-normalize to zero) are dropped by both solves; a
+  // fully degenerate set yields the flagged zero centroid in both.
   const std::size_t m = 32;
 
   // Fully degenerate: every member is constant.
   for (const bool matrix_free : {false, true}) {
     ShapeExtractionOptions options;
-    options.use_matrix_free = matrix_free;
-    options.matrix_free_min_members = 1;
+    options.matrix_free_min_members = matrix_free ? 1 : SIZE_MAX;
     common::Rng rng(83);
     const std::vector<Series> constants = {Series(m, 2.0), Series(m, -1.0)};
     const ExtractedShape extracted = ExtractShapeFlagged(
@@ -556,7 +557,7 @@ TEST(MatrixFreeExtractionTest, DegenerateMembersAndZeroReferenceParity) {
     for (double v : extracted.centroid) EXPECT_EQ(v, 0.0);
   }
 
-  // Mixed: constant members drop out of both modes, leaving the same
+  // Mixed: constant members drop out of both solves, leaving the same
   // effective member set — results agree to epsilon, with a zero-norm
   // reference (no alignment, cold start) and a warm one.
   std::vector<Series> members = NoisySineCorpus(10, m, 89);
@@ -566,10 +567,9 @@ TEST(MatrixFreeExtractionTest, DegenerateMembersAndZeroReferenceParity) {
        {Series(m, 0.0), tseries::ZNormalized(Sine(m, 2.0, 0.6))}) {
     ShapeExtractionOptions pooled;
     pooled.matrix_free_min_members = 1;
-    ShapeExtractionOptions gram;
-    gram.use_matrix_free = false;
     const Series via_pool = ExtractWith(members, reference, 97, pooled);
-    const Series via_gram = ExtractWith(members, reference, 97, gram);
+    const Series via_gram =
+        ExtractWith(members, reference, 97, DenseOptions());
     for (std::size_t t = 0; t < m; ++t) {
       EXPECT_NEAR(via_pool[t], via_gram[t], 1e-6) << "t=" << t;
     }
@@ -582,53 +582,25 @@ TEST(MatrixFreeExtractionTest, InPlaceCenteringMatchesTwoBufferReference) {
   // mirror, write M_ij = S_ij - rowmean_i - colmean_j + grand into a FRESH
   // matrix, then solve. Same reads, same arithmetic, different destination —
   // the centroids must agree bit for bit.
-  MatrixFreeGateGuard gate_guard;
-  SetMatrixFreeEnabledForTesting(true);
   const std::size_t m = 36;
   const std::vector<Series> members = NoisySineCorpus(9, m, 101);
   const Series reference = tseries::ZNormalized(Sine(m, 2.0, 0.7));
 
-  // Production dense path (crossover keeps 9 < min_members pooled members on
-  // the Gram path even with the gate on).
-  ShapeExtractionOptions dense;
-  dense.use_matrix_free = false;
-  const Series production = ExtractWith(members, reference, 103, dense);
+  // Production dense path.
+  const Series production =
+      ExtractWith(members, reference, 103, DenseOptions());
 
-  // Historical pipeline, reimplemented with the explicit second buffer.
-  linalg::Matrix s(m, m);
-  std::vector<double> mean(m, 0.0);
-  for (const Series& member : members) {
-    Series aligned = Sbd(reference, member).aligned_y;
-    tseries::ZNormalizeInPlace(&aligned);
-    if (linalg::Norm(aligned) == 0.0) continue;
-    s.AddSymmetricOuterProduct(aligned);
-    linalg::Axpy(1.0, aligned, &mean);
-  }
-  s.MirrorUpperToLower();
-  std::vector<double> row_mean(m, 0.0);
-  std::vector<double> col_mean(m, 0.0);
-  for (std::size_t i = 0; i < m; ++i) {
-    row_mean[i] = simd::Active().sum(s.Row(i), m);
-    simd::Active().axpy(1.0, s.Row(i), col_mean.data(), m);
-  }
-  double grand = simd::Sum(row_mean);
-  const double inv_m = 1.0 / static_cast<double>(m);
-  simd::Scale(row_mean, inv_m);
-  simd::Scale(col_mean, inv_m);
-  grand *= inv_m * inv_m;
-  linalg::Matrix centered(m, m);  // The second buffer the new code elides.
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      centered(i, j) = s(i, j) - row_mean[i] - col_mean[j] + grand;
-    }
-  }
+  // Historical pipeline, with the explicit second buffer.
+  std::vector<double> mean;
+  const linalg::Matrix centered =
+      CenteredGramReference(members, reference, &mean);
   common::Rng rng(103);
   std::vector<double> seed(reference.begin(), reference.end());
-  std::vector<double> centroid = linalg::DominantEigenvector(
-      centered, &rng, /*max_iters=*/200, /*tol=*/1e-10,
-      /*eigenvalue=*/nullptr, &seed);
-  if (linalg::Dot(centroid, mean) < 0.0) linalg::Scale(&centroid, -1.0);
-  tseries::ZNormalizeInPlace(&centroid);
+  const Series centroid = OrientAndNormalize(
+      linalg::DominantEigenvector(centered, &rng, /*max_iters=*/200,
+                                  /*tol=*/1e-10, /*eigenvalue=*/nullptr,
+                                  &seed),
+      mean);
 
   ASSERT_EQ(production.size(), centroid.size());
   for (std::size_t t = 0; t < m; ++t) {
@@ -639,10 +611,9 @@ TEST(MatrixFreeExtractionTest, InPlaceCenteringMatchesTwoBufferReference) {
 TEST(MatrixFreeExtractionTest, KShapeLabelParityAcrossGateSeedSweep) {
   // End-to-end acceptance: over a sweep of clustering seeds, k-Shape with
   // matrix-free extraction produces EXACTLY the labels (and iteration
-  // counts) of the Gram path — the epsilon-level centroid differences never
+  // counts) of the dense path — the epsilon-level centroid differences never
   // flip an assignment argmin on this corpus, so ARI between the two runs
   // is identically 1.
-  MatrixFreeGateGuard gate_guard;
   const std::size_t m = 64;
   std::vector<Series> series;
   common::Rng corpus_rng(107);
@@ -653,15 +624,15 @@ TEST(MatrixFreeExtractionTest, KShapeLabelParityAcrossGateSeedSweep) {
   }
 
   const KShape algorithm;
+  KShapeOptions dense_options;
+  dense_options.shape_options = DenseOptions();
+  const KShape dense(dense_options);
   for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    SetMatrixFreeEnabledForTesting(true);
     common::Rng rng_on(seed);
     const cluster::ClusteringResult on = algorithm.Cluster(series, 3, &rng_on);
 
-    SetMatrixFreeEnabledForTesting(false);
     common::Rng rng_off(seed);
-    const cluster::ClusteringResult off =
-        algorithm.Cluster(series, 3, &rng_off);
+    const cluster::ClusteringResult off = dense.Cluster(series, 3, &rng_off);
 
     EXPECT_EQ(on.assignments, off.assignments) << "seed=" << seed;
     EXPECT_EQ(on.iterations, off.iterations) << "seed=" << seed;
