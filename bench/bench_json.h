@@ -1,4 +1,5 @@
-// The one BENCH record writer shared by the microbenches.
+// The BENCH record writer for benches that keep JSON records (today
+// fig12_scalability's sharded mode).
 //
 // Each record is a single-line JSON object. Add() prints it to stdout as a
 // `BENCH {json}` line the moment it is made and keeps it; Write() then

@@ -125,9 +125,9 @@ void BM_LbKeogh(benchmark::State& state) {
 BENCHMARK(BM_LbKeogh)->Arg(128)->Arg(512)->Arg(1024);
 
 // SIMD kernel layer: the same kernel driven through the scalar reference
-// table and the runtime-dispatched table (bench/simd_kernels.cc has the full
-// per-kernel sweep with JSON output; these entries put the headline kernels
-// alongside the distance benchmarks above for quick comparison runs).
+// table and the runtime-dispatched table, alongside the distance benchmarks
+// above for quick comparison runs. Bit-identity across backends is pinned by
+// tests/simd_kernels_test.cc; perfbench's simd.* metrics track kernel speed.
 template <kshape::simd::Backend kBackend>
 void BM_SimdSquaredEd(benchmark::State& state) {
   if (kBackend == kshape::simd::Backend::kAvx2 &&

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The repository's CI: every tier-1 test, the benches' smoke checks, the
-# end-to-end benchmark's checker tests, and the sanitizer suites.
+# The repository's CI: every tier-1 test, the example CLIs' fit/predict round
+# trip, the sharded fig12 smoke run, the end-to-end benchmark's checker tests,
+# and the sanitizer suites.
 #
 # 1. Release build (examples/ binaries built explicitly, so interface
 #    refactors cannot silently break them). Tier-1 tests run five times:
@@ -13,15 +14,14 @@
 #      half-spectrum equivalence contract says labels cannot change);
 #    - KSHAPE_PRUNE=off: forces exhaustive exact scans (the pruning
 #      equivalence contract says labels cannot change).
-#    Then the storage-layout, simd-kernels, rfft-batch, assignment-pruning
-#    and shape-extraction microbenches, the model_predict serving bench and
-#    the sharded fig12 scalability bench run in --smoke mode; each
-#    cross-checks bit-identity, epsilon equivalence or label equality and
-#    writes its BENCH_*.json file. A kshape_fit -> kshape_predict round trip
-#    exercises the .kmodel artifact through the example CLIs. Last,
+#    Then a kshape_fit -> kshape_predict round trip exercises the .kmodel
+#    artifact through the example CLIs, and the sharded fig12 scalability
+#    bench runs in --smoke mode (out-of-core exact + mini-batch runs). Last,
 #    perfbench/test_checks.py builds the end-to-end benchmark against src/
 #    and runs its checker tests, so a library API change that breaks the
-#    benchmark fails here.
+#    benchmark fails here. Equivalence between fast and reference paths
+#    (backends, spectrum layouts, pruning, extraction, model round trips) is
+#    asserted by the tier-1 suites, not by bench binaries.
 # 2. -march=native release build: the strictest determinism setting — the
 #    compiler is free to fuse/vectorize everything OUTSIDE the pinned kernel
 #    TUs, so tier-1 passing here proves the -ffp-contract=off firewalls
@@ -81,24 +81,6 @@ echo "==> tier1 tests, KSHAPE_PRUNE=off (forced exhaustive exact scans)"
 (cd "${RELEASE_DIR}" &&
  KSHAPE_PRUNE=off ctest -L tier1 --output-on-failure -j "${JOBS}")
 
-echo "==> storage-layout smoke test (contiguous vs nested bit-identity)"
-(cd "${RELEASE_DIR}" && ./bench/storage_layout --smoke)
-
-echo "==> simd-kernels smoke test (scalar vs dispatched bit-identity)"
-(cd "${RELEASE_DIR}" && ./bench/simd_kernels --smoke)
-
-echo "==> rfft-batch smoke test (half-spectrum vs full-complex equivalence)"
-(cd "${RELEASE_DIR}" && ./bench/rfft_batch --smoke)
-
-echo "==> assignment-pruning smoke test (pruned vs exact label equality)"
-(cd "${RELEASE_DIR}" && ./bench/assignment_pruning --smoke)
-
-echo "==> shape-extraction smoke test (matrix-free vs Gram equivalence)"
-(cd "${RELEASE_DIR}" && ./bench/shape_extraction --smoke)
-
-echo "==> model-predict smoke test (saved->loaded Predict bit-identity)"
-(cd "${RELEASE_DIR}" && ./bench/model_predict --smoke)
-
 echo "==> fit/predict round-trip smoke (kshape_fit -> .kmodel -> kshape_predict)"
 MODEL_FILE="$(mktemp -u /tmp/kshape_ci_model.XXXXXX.kmodel)"
 "${RELEASE_DIR}/examples/kshape_fit" "${MODEL_FILE}" --per-class 10 --length 64
@@ -120,9 +102,6 @@ cmake --build "${NATIVE_DIR}" -j "${JOBS}"
 echo "==> tier1 tests under -march=native (kernel TU contract firewall)"
 (cd "${NATIVE_DIR}" && ctest -L tier1 --output-on-failure -j "${JOBS}")
 
-echo "==> simd-kernels smoke under -march=native"
-(cd "${NATIVE_DIR}" && ./bench/simd_kernels --smoke)
-
 echo "==> ThreadSanitizer build (${TSAN_DIR})"
 cmake -B "${TSAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DKSHAPE_SANITIZE=thread
@@ -131,7 +110,7 @@ cmake --build "${TSAN_DIR}" -j "${JOBS}" \
                simd_kernels_test pruning_test sharded_store_test \
                shape_extraction_test minibatch_kshape_test fitted_model_test
 
-echo "==> race check: parallel + thread_pool + sbd_cache + rfft + simd_kernels + pruning + sharded_store + shape_extraction + minibatch + fitted_model under TSan"
+echo "==> race check: the ten threaded suites under TSan"
 # Run the parallel paths at a thread count high enough to force real
 # interleaving even on small CI machines.
 KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \

@@ -158,19 +158,30 @@ common::StatusOr<ShardedSeriesStore> ShardedSeriesStore::Open(
                                            ": malformed metadata");
   }
 
+  // The whole store's byte count must fit in size_t: every size later
+  // derived from rows and length is bounded by it.
+  std::size_t total_bytes = 0;
+  if (__builtin_mul_overflow(rows, length, &total_bytes) ||
+      __builtin_mul_overflow(total_bytes, sizeof(double), &total_bytes)) {
+    return common::Status::InvalidArgument(
+        meta_path + ": rows * length overflows the addressable size");
+  }
+
   ShardedSeriesStore store;
   store.directory_ = directory;
   store.options_.shard_rows = shard_rows;
   store.options_.max_resident_shards = max_resident_shards;
   store.length_ = length;
   store.rows_ = rows;
-  store.shard_count_ = (rows + shard_rows - 1) / shard_rows;
+  store.shard_count_ = rows / shard_rows + (rows % shard_rows != 0 ? 1 : 0);
   store.spilled_shards_ = store.shard_count_;
-  store.shards_.assign(store.shard_count_, Shard{});
   store.sealed_ = true;
 
+  // The shard files must back the metadata before the per-shard slots are
+  // allocated: a crafted row count must not size an allocation.
   common::Status valid = store.Validate();
   if (!valid.ok()) return valid;
+  store.shards_.assign(store.shard_count_, Shard{});
   return store;
 }
 
@@ -187,8 +198,13 @@ common::Status ShardedSeriesStore::Validate() const {
       return common::Status::NotFound("missing shard file " + path + ": " +
                                       ec.message());
     }
-    const std::uintmax_t expected = static_cast<std::uintmax_t>(
-        ShardRowCount(s) * length_ * sizeof(double));
+    std::size_t expected = 0;
+    if (__builtin_mul_overflow(ShardRowCount(s), length_, &expected) ||
+        __builtin_mul_overflow(expected, sizeof(double), &expected)) {
+      return common::Status::InvalidArgument(
+          "shard file " + path + ": rows * length overflows the addressable "
+          "size");
+    }
     if (actual != expected) {
       return common::Status::InvalidArgument(
           FileSizeError(path, expected, actual));

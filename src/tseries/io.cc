@@ -42,6 +42,26 @@ common::Status ParseDouble(const std::string& field, double* out) {
   return common::Status::OK();
 }
 
+// Parses a class-label field: a finite number whose nearest integer fits in
+// an int. Out-of-range labels are rejected rather than wrapped.
+common::Status ParseLabel(const std::string& field, std::size_t line_number,
+                          int* out) {
+  double value = 0.0;
+  common::Status st = ParseDouble(field, &value);
+  const double rounded = std::round(value);
+  if (st.ok() && (rounded < std::numeric_limits<int>::min() ||
+                  rounded > std::numeric_limits<int>::max())) {
+    st = common::Status::InvalidArgument("label " + field +
+                                         " is outside the int range");
+  }
+  if (!st.ok()) {
+    return common::Status::InvalidArgument(
+        "line " + std::to_string(line_number) + ": " + st.message());
+  }
+  *out = static_cast<int>(rounded);
+  return common::Status::OK();
+}
+
 // Parses a value field for the lenient loader: "?" and any non-finite
 // rendering ("nan", "inf", ...) become NaN missing markers.
 common::Status ParseValueOrMissing(const std::string& field, double* out) {
@@ -78,10 +98,9 @@ common::StatusOr<Dataset> ParseUcrText(const std::string& text,
           "line " + std::to_string(line_number) +
           ": need a label and at least one value");
     }
-    double label_value = 0.0;
-    common::Status st = ParseDouble(fields[0], &label_value);
+    int label = 0;
+    common::Status st = ParseLabel(fields[0], line_number, &label);
     if (!st.ok()) return st;
-    const int label = static_cast<int>(std::lround(label_value));
 
     Series series;
     series.reserve(fields.size() - 1);
@@ -122,12 +141,9 @@ common::StatusOr<Dataset> ParseUcrText(const std::string& text,
           "line " + std::to_string(line_number) +
           ": need a label and at least one value");
     }
-    double label_value = 0.0;
-    common::Status st = ParseDouble(fields[0], &label_value);
-    if (!st.ok()) {
-      return common::Status::InvalidArgument(
-          "line " + std::to_string(line_number) + ": " + st.message());
-    }
+    int label = 0;
+    common::Status st = ParseLabel(fields[0], line_number, &label);
+    if (!st.ok()) return st;
     Series row;
     row.reserve(fields.size() - 1);
     for (std::size_t i = 1; i < fields.size(); ++i) {
@@ -140,7 +156,7 @@ common::StatusOr<Dataset> ParseUcrText(const std::string& text,
       row.push_back(value);
     }
     series.push_back(std::move(row));
-    labels.push_back(static_cast<int>(std::lround(label_value)));
+    labels.push_back(label);
   }
   if (series.empty()) {
     return common::Status::InvalidArgument("no series in input");

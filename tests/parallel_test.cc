@@ -105,6 +105,12 @@ TEST(ParallelInvarianceTest, PairwiseSbdDistanceMatrix) {
   ExpectInvariant<linalg::Matrix>(
       [&] { return cluster::PairwiseDistanceMatrix(series, sbd); },
       MatricesBitIdentical, "pairwise SBD matrix");
+  // The naive implementation declines the batched hook, so this runs the
+  // generic per-pair loop over the same series.
+  const core::SbdDistance naive(core::CrossCorrelationImpl::kNaive);
+  ExpectInvariant<linalg::Matrix>(
+      [&] { return cluster::PairwiseDistanceMatrix(series, naive); },
+      MatricesBitIdentical, "pairwise SBD matrix (per-pair loop)");
 }
 
 TEST(ParallelInvarianceTest, PairwiseCdtwDistanceMatrix) {
@@ -148,15 +154,22 @@ TEST(ParallelInvarianceTest, KShapeFullRunWithoutSpectrumCache) {
   // tolerance-tested against.
   const std::vector<Series> series = MakeSeries(36, 64, 3);
   const core::SbdDistance sbd;
-  core::KShapeOptions options;
-  options.assignment_distance = &sbd;
-  const core::KShape algorithm(options);
-  ExpectInvariant<cluster::ClusteringResult>(
-      [&] {
-        common::Rng rng(7);
-        return algorithm.Cluster(series, 3, &rng);
-      },
-      ResultsBitIdentical, "k-Shape (no spectrum cache)");
+  for (const core::KShapeInit init : {core::KShapeInit::kRandomAssignment,
+                                      core::KShapeInit::kPlusPlusSeeding}) {
+    core::KShapeOptions options;
+    options.init = init;
+    options.assignment_distance = &sbd;
+    const core::KShape algorithm(options);
+    ExpectInvariant<cluster::ClusteringResult>(
+        [&] {
+          common::Rng rng(7);
+          return algorithm.Cluster(series, 3, &rng);
+        },
+        ResultsBitIdentical,
+        init == core::KShapeInit::kPlusPlusSeeding
+            ? "k-Shape (no spectrum cache, ++ init)"
+            : "k-Shape (no spectrum cache)");
+  }
 }
 
 TEST(ParallelInvarianceTest, MatrixFreeShapeExtraction) {

@@ -9,8 +9,8 @@
 //  - abandoning never changes an argmin: Nearest() returns the identical
 //    index/distance the exhaustive scan finds;
 //  - pruned k-Shape produces the same labels as the exact scan at the
-//    default margin, across seeds, thread counts, spectrum layouts, and
-//    SIMD backends;
+//    default margin, on CBF (k = 3) and phase-jittered sines (k = 24),
+//    across seeds, thread counts, spectrum layouts, and SIMD backends;
 //  - prune_margin = +infinity is bit-identical to the exact path (the
 //    movement-bound layer off, the exactness-preserving spectral layer on);
 //  - the telemetry partition computed + pruned + abandoned == n*k holds for
@@ -48,6 +48,31 @@ std::vector<Series> MakeSeries(std::size_t n, std::size_t m, uint64_t seed) {
   for (std::size_t i = 0; i < n; ++i) {
     series.push_back(tseries::ZNormalized(
         data::MakeCbf(static_cast<int>(i % 3), m, &rng)));
+  }
+  return series;
+}
+
+// k classes of noisy sines at spaced odd frequencies (2c+1 cycles) with a
+// phase jitter bounded by 0.15*pi: real clusters that need SBD alignment and
+// several refinement iterations, the large-k regime where the movement
+// bounds prune most. Uniform phase would instead put every class on a
+// degenerate sin/cos eigenpair and stall extraction, not assignment.
+std::vector<Series> MakeJitterSines(std::size_t n, std::size_t m, int k,
+                                    uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<Series> series;
+  series.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double freq = static_cast<double>(2 * (i % k) + 1);
+    const double phase = rng.Uniform() * 0.15 * M_PI;
+    Series s(m);
+    for (std::size_t t = 0; t < m; ++t) {
+      s[t] = std::sin(2.0 * M_PI * freq * static_cast<double>(t) /
+                          static_cast<double>(m) +
+                      phase) +
+             0.5 * rng.Gaussian();
+    }
+    series.push_back(tseries::ZNormalized(s));
   }
   return series;
 }
@@ -194,42 +219,68 @@ TEST(PruningTest, BoundPlanesOffByDefault) {
 TEST(PruningTest, LabelsMatchExactAcrossSeedsThreadsLayoutsBackends) {
   const int saved_threads = common::ThreadCount();
   const simd::Backend saved_backend = simd::ActiveBackend();
-  const std::vector<Series> series = MakeSeries(60, 64, 101);
+
+  // CBF at k = 3 with random init, and k = 24 jittered sines with ++
+  // seeding. m = 128 keeps the highest class frequency (47 cycles) below
+  // Nyquist, so no two classes alias onto one frequency.
+  struct Corpus {
+    const char* name;
+    std::vector<Series> series;
+    int k;
+    core::KShapeInit init;
+  };
+  const Corpus corpora[] = {
+      {"cbf", MakeSeries(60, 64, 101), 3, core::KShapeInit::kRandomAssignment},
+      {"jitter-sines", MakeJitterSines(96, 128, 24, 102), 24,
+       core::KShapeInit::kPlusPlusSeeding},
+  };
 
   std::vector<simd::Backend> backends = {simd::Backend::kScalar};
   if (simd::Avx2Available()) backends.push_back(simd::Backend::kAvx2);
 
-  for (uint64_t seed : {11u, 12u}) {
-    for (bool half : {true, false}) {
-      core::KShapeOptions pruned_options;
-      pruned_options.use_half_spectrum = half;
-      core::KShapeOptions exact_options = pruned_options;
-      exact_options.use_pruning = false;
+  for (const Corpus& corpus : corpora) {
+    long long skipped = 0;
+    for (uint64_t seed : {11u, 12u}) {
+      for (bool half : {true, false}) {
+        core::KShapeOptions pruned_options;
+        pruned_options.init = corpus.init;
+        pruned_options.use_half_spectrum = half;
+        core::KShapeOptions exact_options = pruned_options;
+        exact_options.use_pruning = false;
 
-      for (simd::Backend backend : backends) {
-        simd::SetBackendForTesting(backend);
-        std::vector<int> reference_assignments;
-        for (int threads : {1, 2, 8}) {
-          common::SetThreadCount(threads);
-          const cluster::ClusteringResult pruned =
-              RunKShape(pruned_options, series, 3, seed);
-          const cluster::ClusteringResult exact =
-              RunKShape(exact_options, series, 3, seed);
-          EXPECT_EQ(pruned.assignments, exact.assignments)
-              << "seed=" << seed << " half=" << half
-              << " threads=" << threads;
-          EXPECT_EQ(pruned.iterations, exact.iterations);
-          EXPECT_EQ(pruned.converged, exact.converged);
-          ExpectTelemetryPartition(pruned, series.size(), 3);
-          // The pruned path itself is thread-count-invariant.
-          if (reference_assignments.empty()) {
-            reference_assignments = pruned.assignments;
-          } else {
-            EXPECT_EQ(pruned.assignments, reference_assignments)
-                << "thread-count variance at threads=" << threads;
+        for (simd::Backend backend : backends) {
+          simd::SetBackendForTesting(backend);
+          std::vector<int> reference_assignments;
+          for (int threads : {1, 2, 8}) {
+            common::SetThreadCount(threads);
+            const cluster::ClusteringResult pruned =
+                RunKShape(pruned_options, corpus.series, corpus.k, seed);
+            const cluster::ClusteringResult exact =
+                RunKShape(exact_options, corpus.series, corpus.k, seed);
+            EXPECT_EQ(pruned.assignments, exact.assignments)
+                << corpus.name << " seed=" << seed << " half=" << half
+                << " threads=" << threads;
+            EXPECT_EQ(pruned.iterations, exact.iterations);
+            EXPECT_EQ(pruned.converged, exact.converged);
+            ExpectTelemetryPartition(pruned, corpus.series.size(), corpus.k);
+            skipped += pruned.distances_pruned_bounds +
+                       pruned.distances_abandoned_partial;
+            // The pruned path itself is thread-count-invariant.
+            if (reference_assignments.empty()) {
+              reference_assignments = pruned.assignments;
+            } else {
+              EXPECT_EQ(pruned.assignments, reference_assignments)
+                  << corpus.name << " thread-count variance at threads="
+                  << threads;
+            }
           }
         }
       }
+    }
+    // Parity means little if nothing was pruned (KSHAPE_PRUNE=off forces
+    // both runs onto the exact scan).
+    if (core::PruningEnabled()) {
+      EXPECT_GT(skipped, 0) << corpus.name;
     }
   }
   common::SetThreadCount(saved_threads);

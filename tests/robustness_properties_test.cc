@@ -291,6 +291,14 @@ TEST(ConditioningPropertiesTest, LenientUcrReaderConditionsHostileText) {
 
   const auto rejected = tseries::ParseUcrText(text, "hostile", {});
   EXPECT_FALSE(rejected.ok());
+
+  // Conditioning repairs values, never labels: a label outside the int
+  // range is an error naming its line, not a wrapped class id.
+  const auto wrapped_label =
+      tseries::ParseUcrText(text + "3e9,1.0,2.0\n", "hostile", lenient);
+  ASSERT_FALSE(wrapped_label.ok());
+  EXPECT_NE(wrapped_label.status().message().find("line 4"),
+            std::string::npos);
 }
 
 TEST(TrySbdTest, RejectsMalformedAndAcceptsDegenerate) {

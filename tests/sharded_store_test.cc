@@ -292,14 +292,28 @@ TEST(ShardedStoreTest, OpenRejectsCorruptMagic) {
 TEST(ShardedStoreTest, OpenRejectsMalformedMetadata) {
   const std::string dir = FreshDir("bad_meta");
   { BuildStore(dir, 6, 3, ShardedStoreOptions{.shard_rows = 4}); }
-  {
-    std::ofstream meta(dir + "/meta.txt", std::ios::trunc);
-    meta << "kshape-sharded-store v1\nlength 0\nshard_rows 4\nrows 6\n";
+  // An empty first shard is what a wrapped byte count would expect.
+  fs::resize_file(dir + "/shard_00000.bin", 0);
+  const char* const kBadMeta[] = {
+      "length 0\nshard_rows 4\nrows 6\n",
+      // 2^61 * 8 bytes wraps to 0, matching the empty shard file.
+      "length 2305843009213693952\nshard_rows 1\nrows 1\n",
+      // 2^58 one-row shards: more per-shard slots than a vector can hold.
+      "length 1\nshard_rows 1\nrows 288230376151711744\n",
+      // rows + shard_rows - 1 wraps, which would give zero shards.
+      "length 1\nshard_rows 2\nrows 18446744073709551615\n",
+  };
+  for (const char* body : kBadMeta) {
+    SCOPED_TRACE(body);
+    {
+      std::ofstream meta(dir + "/meta.txt", std::ios::trunc);
+      meta << "kshape-sharded-store v1\n" << body;
+    }
+    common::StatusOr<ShardedSeriesStore> opened =
+        ShardedSeriesStore::Open(dir, 2);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
   }
-  common::StatusOr<ShardedSeriesStore> opened =
-      ShardedSeriesStore::Open(dir, 2);
-  ASSERT_FALSE(opened.ok());
-  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ShardedStoreTest, OpenRejectsTruncatedShardFile) {

@@ -9,10 +9,10 @@
 //     from a plain sequential loop only at rounding level; each reduction
 //     kernel is compared against its legacy reference loop under a relative
 //     tolerance.
-//  3. End-to-end: k-Shape clustering (labels, centroids, telemetry) and the
-//     early-abandon 1-NN accuracy must be bit-identical across backends and
-//     across KSHAPE_THREADS = 1, 2, 8 — the user-visible statement of the
-//     contract.
+//  3. End-to-end: k-Shape clustering (labels, centroids, telemetry), the
+//     early-abandon 1-NN accuracy and the ED/SBD pairwise matrices must be
+//     bit-identical across backends and across KSHAPE_THREADS = 1, 2, 8 —
+//     the user-visible statement of the contract.
 
 #include <algorithm>
 #include <cmath>
@@ -26,12 +26,16 @@
 
 #include "classify/nearest_neighbor.h"
 #include "cluster/algorithm.h"
+#include "cluster/kmedoids.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "core/kshape.h"
 #include "core/sbd.h"
+#include "core/sbd_engine.h"
 #include "data/generators.h"
+#include "distance/euclidean.h"
 #include "fft/rfft.h"
+#include "linalg/matrix.h"
 #include "simd/dispatch.h"
 #include "simd/kernels.h"
 #include "tseries/normalization.h"
@@ -648,6 +652,31 @@ TEST(EndToEndInvarianceTest, CdtwLowerBoundAccuracy) {
   ExpectBackendAndThreadInvariant<double>(
       [&] { return classify::OneNnAccuracyCdtwLb(train, test, 4); },
       [](double a, double b) { return a == b; }, "1-NN cDTW+LB_Keogh");
+}
+
+TEST(EndToEndInvarianceTest, PairwiseEdAndSbdMatrices) {
+  // The all-pairs workloads: ED through PairwiseDistanceMatrix, and SBD
+  // through the engine's flat fill (spectra, products, inverses, peak scans).
+  const std::vector<Series> series = MakeSeries(24, 96, 311);
+  const distance::EuclideanDistance ed;
+  ExpectBackendAndThreadInvariant<std::vector<double>>(
+      [&] {
+        const linalg::Matrix d = cluster::PairwiseDistanceMatrix(series, ed);
+        std::vector<double> flat;
+        for (std::size_t i = 0; i < d.rows(); ++i) {
+          flat.insert(flat.end(), d.Row(i), d.Row(i) + d.cols());
+        }
+        return flat;
+      },
+      std::equal_to<>(), "pairwise ED matrix");
+  ExpectBackendAndThreadInvariant<std::vector<double>>(
+      [&] {
+        const core::SbdEngine engine(series);
+        std::vector<double> flat;
+        engine.PairwiseFlat(&flat);
+        return flat;
+      },
+      std::equal_to<>(), "SbdEngine pairwise flat");
 }
 
 TEST(DispatchTest, ActiveBackendReportsAConsistentName) {

@@ -183,6 +183,15 @@ TEST(IoTest, ParseRejectsRaggedRows) {
 TEST(IoTest, ParseRejectsGarbageValues) {
   const auto result = ParseUcrText("1,abc,2.0\n", "t");
   EXPECT_FALSE(result.ok());
+  // A label whose nearest integer does not fit in an int must not wrap.
+  for (const char* text : {"0 1 2 3\n3e9 1 2 3\n", "-3e9 1 2 3\n"}) {
+    const auto out_of_range = ParseUcrText(text, "t");
+    ASSERT_FALSE(out_of_range.ok()) << text;
+    EXPECT_EQ(out_of_range.status().code(),
+              common::StatusCode::kInvalidArgument);
+    EXPECT_NE(out_of_range.status().message().find("line "),
+              std::string::npos);
+  }
 }
 
 TEST(IoTest, ParseRejectsEmptyInput) {
