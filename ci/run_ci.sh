@@ -25,7 +25,9 @@
 # 2. -march=native release build: the strictest determinism setting — the
 #    compiler is free to fuse/vectorize everything OUTSIDE the pinned kernel
 #    TUs, so tier-1 passing here proves the -ffp-contract=off firewalls
-#    around src/simd/ actually hold.
+#    around src/simd/ actually hold. simd_kernels_test.cc carries the same
+#    firewall (tests/CMakeLists.txt), so its unfused std::complex reference
+#    stays unfused on FMA hosts.
 # 3. ThreadSanitizer build; parallel_test, thread_pool_test, sbd_cache_test,
 #    rfft_test, simd_kernels_test, pruning_test, sharded_store_test,
 #    shape_extraction_test, minibatch_kshape_test and fitted_model_test run

@@ -13,7 +13,7 @@
 namespace kshape::cluster {
 
 /// Per-iteration telemetry of one assignment step under bound-driven pruning
-/// (k-Shape with KShapeOptions::use_pruning). The three counters partition
+/// (k-Shape under the KSHAPE_PRUNE gate). The three counters partition
 /// the n·k centroid-to-series candidate pairs of the iteration:
 ///   computed          — exact distances evaluated (inverse transforms spent)
 ///   pruned_bounds     — pairs skipped by the Hamerly-style movement bounds
@@ -21,8 +21,8 @@ namespace kshape::cluster {
 ///   abandoned_partial — pairs dropped mid-scan by the partial-sum spectral
 ///                       NCC bound (bin products spent, no inverse transform)
 /// Invariant: computed + pruned_bounds + abandoned_partial == n·k. Seeding,
-/// empty-cluster repair, centroid-shift, and verification distances are
-/// outside these counters. Defined with the Assigner (the one assignment
+/// empty-cluster repair, and centroid-shift distances are outside these
+/// counters. Defined with the Assigner (the one assignment
 /// implementation); aliased here for the result consumers.
 using AssignmentIterationStats = model::AssignmentIterationStats;
 
@@ -58,12 +58,6 @@ struct ClusteringResult {
   long long distances_pruned_bounds = 0;
   long long distances_abandoned_partial = 0;
   std::vector<AssignmentIterationStats> assignment_stats;
-
-  /// Verification-mode counter (KShapeOptions::verify_pruning): series whose
-  /// pruned assignment disagreed with an exact recomputation. The pruned
-  /// decisions are KEPT — verification observes, it does not correct — so
-  /// this measures bound validity without changing the clustering.
-  long long pruned_label_mismatches = 0;
 
   /// Out-of-core telemetry (the sharded MiniBatchKShape driver; in-memory
   /// methods leave all three at zero): shard files read from disk and shards

@@ -12,51 +12,29 @@
 
 namespace kshape::cluster {
 
-/// Out-of-core k-Shape over a ShardedSeriesStore: the block-partitioned
-/// driver for the 10^5-10^6 series regime, where the corpus does not fit
-/// (or should not sit) in memory.
+/// Out-of-core k-Shape over a ShardedSeriesStore: the 10^5-10^6 series
+/// regime, where the corpus does not fit (or should not sit) in memory.
 ///
-/// Every pass streams shards in order through a per-shard SbdEngine — the
-/// residency budget bounds both the raw samples and the engine spectra at
-/// O(max_resident_shards * shard_rows * m), independent of n. Centroid
-/// spectra are minted once per iteration (SbdEngine::MakeQueryFor) and
-/// reused against every shard engine; shape extraction streams members
-/// through one ShapeAccumulator per cluster in global index order. Those
-/// accumulators pool the aligned rows they are fed, so a full pass holds
-/// O(n_c·m) extraction memory per cluster (O(n·m) across all k).
+/// A thin caller of core::ClusterBlocks, the one k-Shape iteration loop that
+/// the in-memory KShape runs too: it presents each shard as one block, with
+/// a per-shard SbdEngine built when the shard is loaded and dropped when it
+/// is evicted. The residency budget therefore bounds both the raw samples
+/// and the engine spectra at O(max_resident_shards * shard_rows * m),
+/// independent of n. Shape extraction pools the aligned members it is fed,
+/// so a full pass holds O(n·m) extraction memory across the k clusters.
 ///
-/// Two operating modes, selected by KShapeOptions::minibatch_size:
+/// Because both entry points run the same driver, and the per-shard engines
+/// produce bitwise the same spectra and norms as one big engine (the FFT of a
+/// series depends on nothing but the series and fft_len, a function of m
+/// alone), a sharded run is bit-identical to the in-memory KShape on the
+/// same series and options — same labels, centroids, iteration count and
+/// distance telemetry — at every thread count, SIMD backend, spectrum
+/// layout, pruning gate, shard geometry and minibatch_size
+/// (KShapeOptions::minibatch_size documents the mini-batch schedule). The
+/// equivalence suite in tests/minibatch_kshape_test.cc pins this contract.
 ///
-///  - Exact (minibatch_size == 0, or >= n): every iteration is
-///    a full pass. The run is bit-identical to the in-memory KShape on the
-///    same series — same labels, same centroids, same iteration count, same
-///    distance telemetry — at every thread count, SIMD backend, spectrum
-///    layout, pruning setting, and shard geometry. The per-shard engines
-///    produce bitwise the same spectra and norms as one big engine (the FFT
-///    of a series depends on nothing but the series and fft_len, which is a
-///    function of m alone), and every reduction that is order-sensitive
-///    (telemetry, ++-seeding totals, shape accumulation, empty-cluster
-///    repair) runs in global index order. The equivalence suite in
-///    tests/minibatch_kshape_test.cc pins this contract.
-///
-///  - Mini-batch (0 < minibatch_size B < n): most iterations
-///    draw a seeded uniform sample of B series (Floyd's algorithm on the
-///    coordinating thread, so the draw is thread-count-invariant), refine
-///    centroids from the sampled members only, and reassign only the
-///    sample. Every `refresh_period`-th iteration (and the last) runs a
-///    full exact pass — which is also the only place convergence is
-///    declared, so a converged mini-batch run ends on a corpus-wide fixed
-///    point. A cluster with no sampled members keeps its previous centroid
-///    (it is not degenerate-zeroed; a sample miss is not evidence the
-///    cluster is empty). Hamerly movement bounds are disabled in this mode
-///    (their per-series state assumes every series sees every centroid
-///    update), but the stateless spectral early-abandon layer still prunes
-///    inside each scan.
-///
-/// Telemetry: ClusteringResult gains shards_loaded / shard_evictions (deltas
-/// of the store's counters over the run) and sampled_series (total sample
-/// draws; 0 in exact mode). AssignmentIterationStats entries for sampled
-/// iterations partition B*k candidates instead of n*k.
+/// Telemetry: on top of the driver's, ClusteringResult gains shards_loaded /
+/// shard_evictions (deltas of the store's counters over the run).
 ///
 /// The driver requires the cached-SBD configuration: no custom
 /// assignment_distance (KSHAPE_CHECKed — streaming shards IS the

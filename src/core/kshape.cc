@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <unordered_set>
 #include <utility>
 
 #include "common/check.h"
@@ -9,6 +10,7 @@
 #include "common/stopwatch.h"
 #include "core/sbd.h"
 #include "core/sbd_engine.h"
+#include "fft/fft.h"
 #include "fft/rfft.h"
 #include "model/assigner.h"
 
@@ -21,39 +23,50 @@ namespace {
 // RNG-driven sampling between scans stays sequential, and `total` is reduced
 // over the materialized d2 array in index order — so the seeding consumes
 // exactly the same random stream and picks the same seeds at every thread
-// count. Grain 16 amortizes chunk-claiming over the cheap per-index work.
+// count and block split. Grain 16 amortizes chunk-claiming over the cheap
+// per-index work.
 constexpr std::size_t kScanGrain = 16;
 
 // k-means++-style seeding under SBD: D^2 sampling of k seed series, then a
-// nearest-seed initial assignment. With a spectrum cache (`engine` non-null)
-// every seed-to-series distance is a single inverse transform on spectra
-// computed once for the whole Cluster() call; both seed and candidate are
-// in-set, so no forward transform runs inside the scans at all.
-std::vector<int> PlusPlusAssignments(const tseries::SeriesBatch& series,
-                                     int k, common::Rng* rng,
-                                     const SbdEngine* engine) {
-  const std::size_t n = series.size();
-  std::vector<std::size_t> seeds;
-  seeds.push_back(static_cast<std::size_t>(rng->UniformInt(
-      static_cast<int>(n))));
-
-  auto seed_distance = [&](std::size_t seed, std::size_t i) {
-    return engine != nullptr ? engine->Distance(seed, i)
-                             : Sbd(series[seed], series[i]).distance;
-  };
-
-  // d2[i] = squared SBD to the nearest chosen seed.
-  std::vector<double> d2(n);
-  common::ParallelFor(0, n, kScanGrain,
-                      [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const double d = seed_distance(seeds[0], i);
-      d2[i] = d * d;
-    }
-  });
+// nearest-seed initial assignment. On the cached path each seed's spectrum
+// is minted once (MakeQueryFor, `fft_len` > 0) and streamed against every
+// block engine, so a seed-to-series distance is a single inverse transform;
+// engine-free runs call Sbd() per pair.
+std::vector<int> PlusPlusSeeding(SeriesBlocks* blocks, int k,
+                                 common::Rng* rng, std::size_t fft_len,
+                                 bool half) {
+  const std::size_t n = blocks->size();
+  std::vector<double> d2(n);  // Squared SBD to the nearest chosen seed.
   std::vector<int> nearest(n, 0);
 
-  while (static_cast<int>(seeds.size()) < k) {
+  const auto scan = [&](std::size_t seed, int seed_index) {
+    const tseries::Series seed_row = blocks->Row(seed);
+    std::optional<SbdEngine::Query> q;
+    if (fft_len > 0) {
+      q = SbdEngine::MakeQueryFor(seed_row, seed_row.size(), fft_len, half,
+                                  /*build_bound_planes=*/false);
+    }
+    for (std::size_t b = 0; b < blocks->num_blocks(); ++b) {
+      const SeriesBlock block = blocks->Block(b);
+      common::ParallelFor(0, block.rows.size(), kScanGrain,
+                          [&](std::size_t begin, std::size_t end) {
+        for (std::size_t r = begin; r < end; ++r) {
+          const double d = q ? block.engine->Distance(*q, r)
+                             : Sbd(seed_row, block.rows[r]).distance;
+          const std::size_t i = block.base + r;
+          if (seed_index == 0) {
+            d2[i] = d * d;
+          } else if (d * d < d2[i]) {
+            d2[i] = d * d;
+            nearest[i] = seed_index;
+          }
+        }
+      });
+    }
+  };
+
+  scan(static_cast<std::size_t>(rng->UniformInt(static_cast<int>(n))), 0);
+  for (int seed_index = 1; seed_index < k; ++seed_index) {
     double total = 0.0;
     for (double v : d2) total += v;
     std::size_t pick = 0;
@@ -70,23 +83,257 @@ std::vector<int> PlusPlusAssignments(const tseries::SeriesBatch& series,
         }
       }
     }
-    seeds.push_back(pick);
-    const int seed_index = static_cast<int>(seeds.size()) - 1;
-    common::ParallelFor(0, n, kScanGrain,
-                        [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const double d = seed_distance(pick, i);
-        if (d * d < d2[i]) {
-          d2[i] = d * d;
-          nearest[i] = seed_index;
-        }
-      }
-    });
+    scan(pick, seed_index);
   }
   return nearest;
 }
 
+// Floyd's uniform sample of `b` distinct indices from [0, n), returned
+// sorted ascending. Consumes exactly b UniformInt draws on the calling
+// (coordinating) thread, so the sample — and everything downstream of it —
+// is a pure function of the rng state, independent of thread count.
+std::vector<std::size_t> SampleWithoutReplacement(std::size_t n,
+                                                  std::size_t b,
+                                                  common::Rng* rng) {
+  KSHAPE_CHECK(b <= n);
+  std::unordered_set<std::size_t> chosen;
+  chosen.reserve(b * 2);
+  for (std::size_t t = n - b; t < n; ++t) {
+    const std::size_t r = static_cast<std::size_t>(
+        rng->UniformInt(static_cast<int>(t + 1)));
+    chosen.insert(chosen.count(r) ? t : r);
+  }
+  std::vector<std::size_t> sample(chosen.begin(), chosen.end());
+  std::sort(sample.begin(), sample.end());
+  return sample;
+}
+
+// Visits the sorted `sample` grouped by block, in ascending block order:
+// visit(block, pos, stop) covers sample[pos, stop).
+template <typename Visit>
+void ForEachSampleBlock(SeriesBlocks* blocks,
+                        const std::vector<std::size_t>& sample,
+                        const Visit& visit) {
+  std::size_t pos = 0;
+  while (pos < sample.size()) {
+    const SeriesBlock block = blocks->Block(blocks->BlockOfRow(sample[pos]));
+    const std::size_t block_end = block.base + block.rows.size();
+    std::size_t stop = pos;
+    while (stop < sample.size() && sample[stop] < block_end) ++stop;
+    visit(block, pos, stop);
+    pos = stop;
+  }
+}
+
+// In-memory corpus: the whole batch as block 0.
+class InMemoryBlocks : public SeriesBlocks {
+ public:
+  InMemoryBlocks(const tseries::SeriesBatch& series, bool cached)
+      : series_(series) {
+    if (cached) {
+      engine_.emplace(series, CrossCorrelationImpl::kFft,
+                      fft::HalfSpectrumEnabled(), PruningEnabled());
+    }
+  }
+
+  std::size_t size() const override { return series_.size(); }
+  std::size_t length() const override { return series_.length(); }
+  std::size_t num_blocks() const override { return 1; }
+  std::size_t BlockOfRow(std::size_t) const override { return 0; }
+  SeriesBlock Block(std::size_t) override {
+    return SeriesBlock{series_, 0, engine_ ? &*engine_ : nullptr};
+  }
+  tseries::Series Row(std::size_t i) override {
+    return tseries::Series(series_[i].begin(), series_[i].end());
+  }
+
+ private:
+  tseries::SeriesBatch series_;
+  std::optional<SbdEngine> engine_;
+};
+
 }  // namespace
+
+cluster::ClusteringResult ClusterBlocks(const KShapeOptions& options,
+                                        SeriesBlocks* blocks, int k,
+                                        common::Rng* rng,
+                                        const std::string& name) {
+  KSHAPE_CHECK(blocks != nullptr && rng != nullptr);
+  KSHAPE_CHECK(options.max_iterations >= 1 && options.refresh_period >= 1);
+  const std::size_t n = blocks->size();
+  const std::size_t m = blocks->length();
+  KSHAPE_CHECK(n >= 1 && k >= 1 && static_cast<std::size_t>(k) <= n);
+  const bool cached = options.assignment_distance == nullptr;
+  const bool minibatch =
+      options.minibatch_size > 0 && options.minibatch_size < n;
+  KSHAPE_CHECK_MSG(cached || !minibatch,
+                   "mini-batch sampling needs the SBD spectrum cache");
+  const std::size_t fft_len = cached ? fft::NextPowerOfTwo(2 * m - 1) : 0;
+  const bool half = cached && fft::HalfSpectrumEnabled();
+  // Pruning needs the engines' spectra, so it runs on the cached path only.
+  const bool pruning = cached && PruningEnabled();
+
+  cluster::ClusteringResult result;
+  result.assignments =
+      options.init == KShapeInit::kPlusPlusSeeding
+          ? PlusPlusSeeding(blocks, k, rng, fft_len, half)
+          : cluster::RandomAssignments(n, k, rng);
+  result.centroids.assign(k, tseries::Series(m, 0.0));
+
+  // The one assignment implementation (movement bounds + spectral abandon +
+  // telemetry live in model::Assigner); blocks arrive in ascending base
+  // order, its reduction discipline. Movement bounds assume every series
+  // sees every centroid update, which sampled iterations violate, so they
+  // run only without mini-batching; the stateless spectral abandon layer
+  // runs whenever pruning is on.
+  model::AssignerOptions assigner_options;
+  assigner_options.k = k;
+  assigner_options.num_series = n;
+  assigner_options.m = m;
+  assigner_options.fft_len = fft_len;
+  assigner_options.use_half_spectrum = half;
+  assigner_options.use_pruning = pruning;
+  assigner_options.use_movement_bounds = pruning && !minibatch;
+  assigner_options.prune_margin = options.prune_margin;
+  model::Assigner assigner(assigner_options);
+
+  // Distance from centroid j to the global row r of `block`.
+  const auto block_distance = [&](const SeriesBlock& block, int j,
+                                  std::size_t r) {
+    if (block.engine != nullptr) {
+      return block.engine->Distance(assigner.queries()[j], r);
+    }
+    return options.assignment_distance->Distance(result.centroids[j],
+                                                 block.rows[r]);
+  };
+  // Empty-cluster repair scans ascending global indices, fetching each
+  // row's block as it goes (one load per block per empty cluster, worst
+  // case, on a sharded corpus).
+  const auto repair_distance = [&](int j, std::size_t i) {
+    const SeriesBlock block = blocks->Block(blocks->BlockOfRow(i));
+    return block_distance(block, j, i - block.base);
+  };
+
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    const std::vector<int> previous = result.assignments;
+    const bool full_pass = !minibatch ||
+                           (iter + 1) % options.refresh_period == 0 ||
+                           iter + 1 == options.max_iterations;
+
+    // Sample draw (coordinating thread, before any parallel work).
+    std::vector<std::size_t> sample;
+    if (!full_pass) {
+      sample = SampleWithoutReplacement(n, options.minibatch_size, rng);
+      result.sampled_series += static_cast<long long>(sample.size());
+    }
+
+    assigner.SnapshotCentroids(result.centroids);
+
+    // Refinement step (Algorithm 3, lines 5-10): one ShapeAccumulator per
+    // cluster, aligned to the previous centroid and fed in global index
+    // order, then Finish in cluster order so cold-start rng draws replay
+    // identically. The accumulators pool every member they are fed: O(n·m)
+    // extraction memory across the k clusters on a full pass. A degenerate
+    // extraction (all members zero-norm) keeps the zero centroid as its
+    // documented representative and is surfaced via the result flag.
+    common::Stopwatch phase_clock;
+    {
+      std::vector<ShapeAccumulator> accumulators;
+      accumulators.reserve(k);
+      for (int j = 0; j < k; ++j) {
+        accumulators.emplace_back(result.centroids[j], options.shape_options);
+      }
+      if (full_pass) {
+        for (std::size_t b = 0; b < blocks->num_blocks(); ++b) {
+          const SeriesBlock block = blocks->Block(b);
+          for (std::size_t r = 0; r < block.rows.size(); ++r) {
+            accumulators[result.assignments[block.base + r]].Add(
+                block.rows[r]);
+          }
+        }
+      } else {
+        ForEachSampleBlock(blocks, sample, [&](const SeriesBlock& block,
+                                               std::size_t pos,
+                                               std::size_t stop) {
+          for (std::size_t t = pos; t < stop; ++t) {
+            const std::size_t i = sample[t];
+            accumulators[result.assignments[i]].Add(block.rows[i - block.base]);
+          }
+        });
+      }
+      result.degenerate_centroids = 0;
+      for (int j = 0; j < k; ++j) {
+        const bool had_members = accumulators[j].members_added() > 0;
+        // No sampled member is not evidence the cluster is empty: keep the
+        // previous centroid instead of degenerate-zeroing it.
+        if (!full_pass && !had_members) continue;
+        ExtractedShape extracted =
+            accumulators[j].Finish(rng, options.shape_options);
+        result.centroids[j] = std::move(extracted.centroid);
+        if (extracted.degenerate && had_members) {
+          ++result.degenerate_centroids;
+        }
+      }
+    }
+    result.extraction_seconds += phase_clock.ElapsedSeconds();
+    phase_clock.Reset();
+
+    // Assignment step (Algorithm 3, lines 11-17). BeginIteration mints this
+    // iteration's centroid queries once (k forward transforms, valid against
+    // every block engine) and derives the movement-bound shifts; rows fan
+    // out on the pool inside the Assigner with disjoint writes.
+    assigner.BeginIteration(result.centroids);
+    if (full_pass) {
+      for (std::size_t b = 0; b < blocks->num_blocks(); ++b) {
+        const SeriesBlock block = blocks->Block(b);
+        if (block.engine != nullptr) {
+          assigner.AssignBlock(*block.engine, block.base, &result.assignments);
+        } else {
+          assigner.AssignBlockWith(
+              [&](int j, std::size_t i) {
+                return block_distance(block, j, i - block.base);
+              },
+              block.base, block.rows.size(), &result.assignments);
+        }
+      }
+    } else {
+      ForEachSampleBlock(blocks, sample, [&](const SeriesBlock& block,
+                                             std::size_t pos,
+                                             std::size_t stop) {
+        assigner.AssignSample(*block.engine, block.base, sample, pos, stop,
+                              &result.assignments);
+      });
+    }
+    const cluster::AssignmentIterationStats stats =
+        assigner.iteration_stats();
+    result.assignment_stats.push_back(stats);
+    result.distances_computed += stats.computed;
+    result.distances_pruned_bounds += stats.pruned_bounds;
+    result.distances_abandoned_partial += stats.abandoned_partial;
+
+    // Re-seed clusters that lost all members with the series farthest from
+    // its current centroid, so every requested cluster stays populated
+    // (shared policy — see RepairEmptyClusters for the tie-break contract).
+    // Sizes are counted first, so a run with no empty cluster fetches no
+    // block here.
+    const int reseeds = cluster::RepairEmptyClusters(
+        k, &result.assignments, repair_distance);
+    result.empty_cluster_reseeds += reseeds;
+    assigner.FinishIteration(reseeds);
+    result.assignment_seconds += phase_clock.ElapsedSeconds();
+
+    result.iterations = iter + 1;
+    // Convergence is declared on full passes only: a sampled iteration
+    // leaves most assignments untouched, so assignment equality there says
+    // nothing about a corpus-wide fixed point.
+    if (full_pass && result.assignments == previous) {
+      result.converged = true;
+      break;
+    }
+  }
+  cluster::AttachFittedModel(&result, name);
+  return result;
+}
 
 KShape::KShape(KShapeOptions options) : options_(options) {
   KSHAPE_CHECK(options_.max_iterations >= 1);
@@ -98,119 +345,11 @@ KShape::KShape(KShapeOptions options) : options_(options) {
 cluster::ClusteringResult KShape::Cluster(
     const tseries::SeriesBatch& series, int k, common::Rng* rng) const {
   KSHAPE_CHECK(!series.empty());
-  KSHAPE_CHECK(k >= 1 && static_cast<std::size_t>(k) <= series.size());
-  KSHAPE_CHECK(rng != nullptr);
-  const std::size_t n = series.size();
-  const std::size_t m = series.length();
-
-  // Bound-driven pruning runs only on the cached-SBD path (it needs the
-  // engine's spectra for the bounds) and only when both the option and the
-  // process-wide KSHAPE_PRUNE gate agree.
-  const bool pruning = options_.use_pruning && PruningEnabled() &&
-                       options_.assignment_distance == nullptr;
-
   // Spectrum cache: every series' forward FFT is computed once here and
-  // reused by every ++-seeding scan and every assignment-step distance in
-  // every iteration. Centroid spectra are refreshed once per iteration (k
-  // forwards) below, so each centroid-to-series distance is a single inverse
-  // transform. Disabled for custom assignment distances (the engine only
-  // accelerates SBD).
-  std::optional<SbdEngine> engine;
-  if (options_.assignment_distance == nullptr) {
-    engine.emplace(series, CrossCorrelationImpl::kFft,
-                   options_.use_half_spectrum && fft::HalfSpectrumEnabled(),
-                   /*build_bound_planes=*/pruning);
-  }
-
-  cluster::ClusteringResult result;
-  result.assignments =
-      options_.init == KShapeInit::kPlusPlusSeeding
-          ? PlusPlusAssignments(series, k, rng,
-                                engine ? &*engine : nullptr)
-          : cluster::RandomAssignments(n, k, rng);
-  result.centroids.assign(k, tseries::Series(m, 0.0));
-
-  // The one assignment implementation (movement bounds + spectral abandon +
-  // telemetry live in model::Assigner). The k-Shape loop keeps only the
-  // iteration protocol: snapshot → refine → begin → assign → repair → finish.
-  model::AssignerOptions assigner_options;
-  assigner_options.k = k;
-  assigner_options.num_series = n;
-  assigner_options.m = m;
-  assigner_options.fft_len = engine ? engine->fft_length() : 0;
-  assigner_options.use_half_spectrum = engine && engine->half_spectrum();
-  assigner_options.use_pruning = pruning;
-  assigner_options.use_movement_bounds = pruning;
-  assigner_options.prune_margin = options_.prune_margin;
-  assigner_options.verify = pruning && options_.verify_pruning;
-  model::Assigner assigner(assigner_options);
-
-  auto assignment_distance = [&](int j, std::size_t i) {
-    if (engine) return engine->Distance(assigner.queries()[j], i);
-    return options_.assignment_distance->Distance(result.centroids[j],
-                                                  series[i]);
-  };
-
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    const std::vector<int> previous = result.assignments;
-    assigner.SnapshotCentroids(result.centroids);
-
-    // Refinement step: recompute each centroid by shape extraction, using
-    // the previous centroid as the alignment reference (Algorithm 3, 5-10).
-    // A degenerate extraction (all members zero-norm) keeps the zero centroid
-    // as its documented representative and is surfaced via the result flag.
-    common::Stopwatch phase_clock;
-    const auto groups = cluster::GroupByCluster(result.assignments, k);
-    result.degenerate_centroids = 0;
-    for (int j = 0; j < k; ++j) {
-      ExtractedShape extracted =
-          ExtractShapeIndexedFlagged(series, groups[j], result.centroids[j],
-                                     rng, options_.shape_options);
-      result.centroids[j] = std::move(extracted.centroid);
-      if (extracted.degenerate && !groups[j].empty()) {
-        ++result.degenerate_centroids;
-      }
-    }
-    result.extraction_seconds += phase_clock.ElapsedSeconds();
-    phase_clock.Reset();
-    // Assignment step: move each series to its closest centroid
-    // (Algorithm 3, lines 11-17), delegated entirely to the Assigner.
-    // BeginIteration mints this iteration's centroid queries (k forward
-    // transforms; every centroid-to-series distance below reuses them as a
-    // single inverse transform) and derives the movement-bound shifts.
-    assigner.BeginIteration(result.centroids);
-    if (engine) {
-      assigner.AssignBlock(*engine, 0, &result.assignments);
-    } else {
-      assigner.AssignBlockWith(assignment_distance, 0, n,
-                               &result.assignments);
-    }
-    const cluster::AssignmentIterationStats stats =
-        assigner.iteration_stats();
-    result.pruned_label_mismatches += assigner.iteration_verify_mismatches();
-    result.assignment_stats.push_back(stats);
-    result.distances_computed += stats.computed;
-    result.distances_pruned_bounds += stats.pruned_bounds;
-    result.distances_abandoned_partial += stats.abandoned_partial;
-
-    // Re-seed clusters that lost all members with the series farthest from
-    // its current centroid, so every requested cluster stays populated
-    // (shared policy — see RepairEmptyClusters for the tie-break contract).
-    const int reseeds =
-        cluster::RepairEmptyClusters(k, &result.assignments,
-                                     assignment_distance);
-    result.empty_cluster_reseeds += reseeds;
-    assigner.FinishIteration(reseeds);
-    result.assignment_seconds += phase_clock.ElapsedSeconds();
-
-    result.iterations = iter + 1;
-    if (result.assignments == previous) {
-      result.converged = true;
-      break;
-    }
-  }
-  cluster::AttachFittedModel(&result, Name());
-  return result;
+  // reused by every seeding scan and every assignment distance. Custom
+  // assignment distances run engine-free (the engine only accelerates SBD).
+  InMemoryBlocks blocks(series, options_.assignment_distance == nullptr);
+  return ClusterBlocks(options_, &blocks, k, rng, name_);
 }
 
 }  // namespace kshape::core

@@ -35,74 +35,60 @@ struct KShapeOptions {
   /// Controls the eigenvector computation inside shape extraction.
   ShapeExtractionOptions shape_options;
 
-  /// When true (default), the spectrum cache stores packed half spectra
-  /// (fft/rfft.h): half the memory, and half-size transforms at power-of-two
-  /// padding. Combined with the process-wide KSHAPE_HALF_SPECTRUM gate — the
-  /// half path runs only when both say yes. Distances differ from the
-  /// full-complex cache by last-ulp rounding only; labels and telemetry are
-  /// expected to match (enforced by the half-vs-full equivalence tests).
-  bool use_half_spectrum = true;
-
   /// Distance used in the assignment step. Null (default) means SBD through
-  /// the spectrum cache: Cluster() builds an SbdEngine over the input, so
-  /// every series' spectrum is computed once per call and every centroid's
-  /// once per iteration, and each ++-seeding or assignment distance is a
-  /// single inverse transform. Cached distances agree with the direct Sbd()
-  /// path within a tight tolerance (not bitwise — see core/sbd_engine.h),
-  /// and the cached pipeline stays bit-identical at every thread count.
+  /// the spectrum cache: every series' spectrum is computed once per call
+  /// and every centroid's once per iteration, and each ++-seeding or
+  /// assignment distance is a single inverse transform. Cached distances
+  /// agree with the direct Sbd() path within a tight tolerance (not bitwise
+  /// — see core/sbd_engine.h), and the cached pipeline stays bit-identical
+  /// at every thread count. The cache layout follows the process-wide
+  /// KSHAPE_HALF_SPECTRUM gate (fft/rfft.h).
   /// Pointing this at an SbdDistance runs the per-pair Sbd() path instead
   /// (the uncached reference: ++-seeding then also calls Sbd() per pair);
   /// pointing it at a DtwMeasure gives the k-Shape+DTW ablation of Table 3.
-  /// The pointee must outlive the KShape instance.
+  /// Such runs are always full passes (minibatch_size must stay 0) and never
+  /// prune. The pointee must outlive the KShape instance.
   const distance::DistanceMeasure* assignment_distance = nullptr;
 
-  /// Bound-driven assignment pruning. When true (default) AND the
-  /// process-wide KSHAPE_PRUNE gate is on AND the run uses the SBD spectrum
-  /// cache (pruning needs cached spectra; it is silently inactive with a
-  /// custom `assignment_distance`), the
-  /// assignment step skips provably-unchanged work two ways:
+  /// Bound-driven assignment pruning runs on the cached-SBD path whenever
+  /// the process-wide KSHAPE_PRUNE gate is on (core/sbd_engine.h). It skips
+  /// provably-unchanged work two ways:
   ///  1. Hamerly-style centroid-movement bounds in the sqrt(SBD) domain —
   ///     after refinement the k centroid-shift distances tighten per-series
   ///     upper bounds (distance to owner) and lower bounds (second-closest);
   ///     a series whose bounds stay separated keeps its label with zero
   ///     distance calls. SBD is not a guaranteed metric, so this layer is
-  ///     heuristic and guarded by `prune_margin` (below).
+  ///     heuristic and guarded by this margin.
   ///  2. Spectral early-abandon NCC — candidates whose partial-sum NCC upper
   ///     bound (SbdEngine::DistanceWithAbandon) cannot beat the best-so-far
   ///     are dropped without an inverse transform. This layer is rigorous
-  ///     (the bound is a theorem, slack covers only ulp rounding) and cannot
-  ///     change labels.
+  ///     and cannot change labels.
   /// Telemetry lands in ClusteringResult::{distances_computed,
   /// distances_pruned_bounds, distances_abandoned_partial, assignment_stats}.
-  bool use_pruning = true;
-
-  /// Safety slack of the movement-bound layer, in SBD distance units: a
-  /// series is pruned only when its owner-distance upper bound clears the
-  /// second-closest lower bound by more than this margin, absorbing both
-  /// bound rounding and small triangle-inequality violations of the
-  /// non-metric SBD. Larger values prune less and track the exact path more
-  /// faithfully; +infinity disables the movement-bound layer entirely and
+  ///
+  /// The margin is in SBD distance units: a series is pruned only when its
+  /// owner-distance upper bound clears the second-closest lower bound by
+  /// more than this, absorbing both bound rounding and small
+  /// triangle-inequality violations of the non-metric SBD. Larger values
+  /// prune less; +infinity disables the movement-bound layer entirely and
   /// makes the run bit-identical to the exact path (the spectral layer is
   /// exactness-preserving on its own). The default absorbs every violation
   /// observed on the test corpora with orders of magnitude to spare.
   double prune_margin = 1e-6;
 
-  /// Verification mode: recompute every pruned series' assignment exactly
-  /// and count disagreements in ClusteringResult::pruned_label_mismatches.
-  /// Pruned decisions are kept, so enabling this changes telemetry only —
-  /// it exists to measure (and test) label agreement of the bounds.
-  bool verify_pruning = false;
-
-  // --- Out-of-core / mini-batch options, consumed by the sharded driver
-  // (cluster::MiniBatchKShape over a store::ShardedSeriesStore). The
-  // in-memory KShape ignores all four.
-
-  /// Mini-batch size B: when > 0, most sharded iterations sample B series
-  /// (without replacement, seeded from the run's rng) and run refinement +
-  /// assignment on the sample only; a full exact pass runs every `refresh_period` iterations
-  /// (and on the final one), which is also where convergence is checked.
-  /// 0 (the default) disables sampling entirely: every iteration is a full
-  /// pass, and the sharded run reproduces the in-memory KShape bit for bit.
+  /// Mini-batch size B: when 0 < B < n, most iterations draw a uniform
+  /// sample of B series (Floyd's algorithm on the coordinating thread, from
+  /// the run's rng, so thread-count-invariant) and run refinement +
+  /// assignment on the sample only; a cluster with no sampled member keeps
+  /// its previous centroid. A full exact pass runs every `refresh_period`
+  /// iterations (and on the final one), which is also the only place
+  /// convergence is declared. Movement bounds are off in this mode (they
+  /// assume every series sees every centroid update); the spectral abandon
+  /// layer still prunes. Sampled iterations' assignment_stats partition B·k
+  /// pairs, and ClusteringResult::sampled_series counts the draws. 0 (the
+  /// default), or B >= n, makes every iteration a full pass. KShape and
+  /// cluster::MiniBatchKShape both run ClusterBlocks, so they agree bit for
+  /// bit at every B.
   std::size_t minibatch_size = 0;
 
   /// Full-pass cadence of the mini-batch schedule: iterations 1-indexed
@@ -110,15 +96,70 @@ struct KShapeOptions {
   /// every iteration into a full pass (sampling then only thins refinement).
   int refresh_period = 5;
 
-  /// Shard geometry used when *building* a store from an in-memory batch
-  /// (MiniBatchKShape::ShardBatch) — rows per on-disk shard. Opening an
-  /// existing store reads its geometry from disk instead.
+  // --- Shard geometry, read only by cluster::MiniBatchKShape::ShardBatch
+  // when it spills an in-memory batch into a new store. Opening an existing
+  // store reads its geometry from disk instead.
+
+  /// Rows per on-disk shard.
   std::size_t shard_rows = 4096;
 
-  /// Residency budget used by ShardBatch: how many shards may be resident
-  /// in memory at once while clustering streams the store.
+  /// How many shards may be resident in memory at once while clustering
+  /// streams the store.
   std::size_t max_resident_shards = 4;
 };
+
+class SbdEngine;
+
+/// One block of the corpus as ClusterBlocks streams it: global rows
+/// [base, base + rows.size()) and, on the cached-SBD path, their spectrum
+/// cache. The engine is null when the run uses a custom
+/// assignment_distance.
+struct SeriesBlock {
+  tseries::SeriesBatch rows;
+  std::size_t base = 0;
+  const SbdEngine* engine = nullptr;
+};
+
+/// The corpus of one k-Shape run as consecutive blocks in ascending base
+/// order. KShape presents its batch as one block; cluster::MiniBatchKShape
+/// presents one block per shard of a store, loading shards on demand. On
+/// the cached-SBD path every block's engine is built as
+/// SbdEngine(rows, CrossCorrelationImpl::kFft, fft::HalfSpectrumEnabled(),
+/// PruningEnabled()), so the centroid queries the driver mints once per
+/// iteration (SbdEngine::MakeQueryFor) are valid against all of them.
+class SeriesBlocks {
+ public:
+  virtual ~SeriesBlocks() = default;
+
+  /// Total rows n and the common row length m.
+  virtual std::size_t size() const = 0;
+  virtual std::size_t length() const = 0;
+
+  virtual std::size_t num_blocks() const = 0;
+  virtual std::size_t BlockOfRow(std::size_t i) const = 0;
+
+  /// Block b. Its rows and engine stay valid until the next Block or Row
+  /// call.
+  virtual SeriesBlock Block(std::size_t b) = 0;
+
+  /// A copy of global row i.
+  virtual tseries::Series Row(std::size_t i) = 0;
+};
+
+/// Algorithm 3 over a block-streamed corpus: the one k-Shape iteration loop.
+/// Initializes (random assignment or ++ seeding), then per iteration refines
+/// every centroid by shape extraction — one ShapeAccumulator per cluster,
+/// fed in global index order — and reassigns every series (or, on sampled
+/// mini-batch iterations, the sample) block by block through one
+/// model::Assigner, repairs empty clusters, and stops at a fixed point of a
+/// full pass or at max_iterations. Every order-sensitive reduction runs in
+/// global index order, so the result does not depend on how the corpus is
+/// split into blocks, nor on thread count. Stamps `name` on the attached
+/// FittedModel.
+cluster::ClusteringResult ClusterBlocks(const KShapeOptions& options,
+                                        SeriesBlocks* blocks, int k,
+                                        common::Rng* rng,
+                                        const std::string& name);
 
 /// k-Shape, Algorithm 3 of the paper.
 ///
@@ -128,7 +169,8 @@ struct KShapeOptions {
 /// extraction (Algorithm 2), using the previous centroid as the alignment
 /// reference. Runs until the assignment reaches a fixed point or
 /// `max_iterations` is hit. O(max{n k m log m, n m^2, k m^3}) per iteration
-/// — linear in the number of series (§3.3).
+/// — linear in the number of series (§3.3). Runs ClusterBlocks over the
+/// batch as a single block.
 class KShape : public cluster::ClusteringAlgorithm {
  public:
   explicit KShape(KShapeOptions options = {});

@@ -315,24 +315,6 @@ std::vector<double> SbdEngine::DistanceToAll(tseries::SeriesView query) const {
   return out;
 }
 
-linalg::Matrix SbdEngine::PairwiseMatrix() const {
-  const std::size_t n = size();
-  linalg::Matrix d(n, n);
-  // Same disjoint-write row pattern (and therefore the same bitwise
-  // thread-count invariance) as the generic PairwiseDistanceMatrix builder.
-  common::ParallelFor(0, n, 1, [&](std::size_t row_begin,
-                                   std::size_t row_end) {
-    for (std::size_t i = row_begin; i < row_end; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const double dist = Distance(i, j);
-        d(i, j) = dist;
-        d(j, i) = dist;
-      }
-    }
-  });
-  return d;
-}
-
 double SbdEngine::NccUpperBound(const Query& q, std::size_t i) const {
   KSHAPE_CHECK(i < size());
   KSHAPE_CHECK_MSG(has_bound_planes() && !q.mag.empty(),
@@ -371,6 +353,8 @@ double SbdEngine::DistanceWithAbandon(const Query& q, std::size_t i,
 void SbdEngine::PairwiseFlat(std::vector<double>* flat) const {
   const std::size_t n = size();
   flat->assign(n * n, 0.0);
+  // Same disjoint-write row pattern (and therefore the same bitwise
+  // thread-count invariance) as the generic PairwiseDistanceMatrix builder.
   common::ParallelFor(0, n, 1, [&](std::size_t row_begin,
                                    std::size_t row_end) {
     for (std::size_t i = row_begin; i < row_end; ++i) {

@@ -18,10 +18,9 @@ namespace kshape::core {
 /// KSHAPE_PRUNE environment variable: "off" disables every bound-driven
 /// shortcut (Hamerly-style assignment pruning and spectral early-abandon NCC
 /// — all consumers fall back to exhaustive exact scans), "on" or unset
-/// enables them, anything else aborts. Layered under the per-call options
-/// (KShapeOptions::use_pruning, the classify scanners): pruning runs only
-/// when both the option and this gate say yes, so one environment variable
-/// can force the exact behavior for A/B runs without touching call sites.
+/// enables them, anything else aborts. It is the only pruning switch: the
+/// k-Shape fit, Predict, OnlineScorer and the SBD classify scanner all read
+/// it, so off forces the exhaustive exact scans everywhere.
 bool PruningEnabled();
 
 /// Replaces the gate for the rest of the process (tests comparing pruned and
@@ -166,13 +165,10 @@ class SbdEngine {
   std::vector<double> DistanceToAll(tseries::SeriesView query) const;
 
   /// Full symmetric pairwise SBD matrix (zero diagonal) from cached spectra,
-  /// rows in parallel with disjoint writes: bit-identical at every thread
-  /// count.
-  linalg::Matrix PairwiseMatrix() const;
-
-  /// PairwiseMatrix flattened row-major into `flat` (size() * size()
-  /// entries). This is the carrier for the DistanceMeasure batched-pairwise
-  /// hook, which cannot name linalg::Matrix.
+  /// row-major into `flat` (size() * size() entries), rows in parallel with
+  /// disjoint writes: bit-identical at every thread count. This is the
+  /// carrier for the DistanceMeasure batched-pairwise hook, which cannot
+  /// name linalg::Matrix.
   void PairwiseFlat(std::vector<double>* flat) const;
 
   /// The spectral NCC upper bound (Σ_k w_k|Q_k||X_i,k|) / (N ‖q‖‖x_i‖),

@@ -209,16 +209,6 @@ tseries::Series ExtractShape(const tseries::SeriesBatch& members,
   return ExtractShapeFlagged(members, reference, rng, options).centroid;
 }
 
-tseries::Series ExtractShapeIndexed(
-    const tseries::SeriesBatch& pool,
-    const std::vector<std::size_t>& member_indices,
-    tseries::SeriesView reference, common::Rng* rng,
-    const ShapeExtractionOptions& options) {
-  return ExtractShapeIndexedFlagged(pool, member_indices, reference, rng,
-                                    options)
-      .centroid;
-}
-
 ExtractedShape ExtractShapeFlagged(const tseries::SeriesBatch& members,
                                    tseries::SeriesView reference,
                                    common::Rng* rng,
@@ -226,20 +216,6 @@ ExtractedShape ExtractShapeFlagged(const tseries::SeriesBatch& members,
   std::vector<tseries::SeriesView> views;
   views.reserve(members.size());
   for (std::size_t i = 0; i < members.size(); ++i) views.push_back(members[i]);
-  return ExtractShapeImpl(views, reference, rng, options);
-}
-
-ExtractedShape ExtractShapeIndexedFlagged(
-    const tseries::SeriesBatch& pool,
-    const std::vector<std::size_t>& member_indices,
-    tseries::SeriesView reference, common::Rng* rng,
-    const ShapeExtractionOptions& options) {
-  std::vector<tseries::SeriesView> views;
-  views.reserve(member_indices.size());
-  for (std::size_t idx : member_indices) {
-    KSHAPE_CHECK(idx < pool.size());
-    views.push_back(pool[idx]);
-  }
   return ExtractShapeImpl(views, reference, rng, options);
 }
 

@@ -70,14 +70,6 @@ tseries::Series ExtractShape(const tseries::SeriesBatch& members,
                              common::Rng* rng,
                              const ShapeExtractionOptions& options = {});
 
-/// Convenience overload for extracting the shape of members selected from a
-/// larger pool by index (no copies: views straight into the pool's storage).
-tseries::Series ExtractShapeIndexed(
-    const tseries::SeriesBatch& pool,
-    const std::vector<std::size_t>& member_indices,
-    tseries::SeriesView reference, common::Rng* rng,
-    const ShapeExtractionOptions& options = {});
-
 /// The result of a flagged shape extraction: the centroid plus an explicit
 /// repair signal for degenerate member sets.
 struct ExtractedShape {
@@ -102,13 +94,6 @@ ExtractedShape ExtractShapeFlagged(const tseries::SeriesBatch& members,
                                    tseries::SeriesView reference,
                                    common::Rng* rng,
                                    const ShapeExtractionOptions& options = {});
-
-/// Indexed variant of ExtractShapeFlagged.
-ExtractedShape ExtractShapeIndexedFlagged(
-    const tseries::SeriesBatch& pool,
-    const std::vector<std::size_t>& member_indices,
-    tseries::SeriesView reference, common::Rng* rng,
-    const ShapeExtractionOptions& options = {});
 
 /// Streaming shape extraction: the member loop of Algorithm 2 decoupled from
 /// member storage, so a caller that cannot hold (or even view) all members at

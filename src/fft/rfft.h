@@ -164,11 +164,10 @@ std::vector<double> RfftCrossCorrelation(std::span<const double> x,
 /// Process-wide half-spectrum gate, resolved once on first use from the
 /// KSHAPE_HALF_SPECTRUM environment variable: "off" disables the half path
 /// (every consumer falls back to full complex spectra), "on" or unset enables
-/// it, anything else aborts. Layered under the per-call options
-/// (KShapeOptions::use_half_spectrum, SbdEngine's constructor flag): the half
-/// path runs only when both the option and this gate say yes, so one
-/// environment variable can force the PR-5 behavior for A/B runs without
-/// touching call sites.
+/// it, anything else aborts. It is the only switch of the k-Shape fit, Predict
+/// and the classify scanners, which all build their SbdEngines from it; an
+/// SbdEngine built directly takes the layout as a constructor argument that
+/// defaults to this gate.
 bool HalfSpectrumEnabled();
 
 /// Replaces the gate for the rest of the process (tests comparing the two

@@ -36,9 +36,6 @@ Assigner::Assigner(const AssignerOptions& options) : options_(options) {
     ub_r_.assign(n, 0.0);
     lb_r_.assign(n, 0.0);
     shift_r_.assign(k, 0.0);
-    if (options_.verify) verify_mismatch_.assign(n, 0);
-  } else if (options_.verify && options_.use_pruning) {
-    verify_mismatch_.assign(n, 0);
   }
 }
 
@@ -55,7 +52,6 @@ void Assigner::SnapshotCentroids(const tseries::SeriesBatch& centroids) {
 void Assigner::BeginIteration(const tseries::SeriesBatch& centroids) {
   KSHAPE_CHECK(static_cast<int>(centroids.size()) == options_.k);
   stats_ = AssignmentIterationStats{};
-  verify_count_ = 0;
   if (options_.fft_len > 0) {
     // k forward transforms per iteration; every centroid-to-series distance
     // in the scans below reuses them as a single inverse transform. Minted
@@ -178,20 +174,6 @@ void Assigner::PrunedScanIndex(const core::SbdEngine& engine, std::size_t i,
     }
     if (distances != nullptr) (*distances)[i] = min1;
   }
-  if (!verify_mismatch_.empty()) {
-    // Exact recomputation of the argmin (outside the telemetry counters);
-    // the pruned decision is kept either way.
-    double vmin = std::numeric_limits<double>::infinity();
-    int vbest = owner;
-    for (int j = 0; j < k; ++j) {
-      const double d = engine.Distance(queries_[j], row);
-      if (d < vmin) {
-        vmin = d;
-        vbest = j;
-      }
-    }
-    verify_mismatch_[i] = vbest != (*assignments)[i] ? 1 : 0;
-  }
   cnt_computed_[i] = comp;
   cnt_pruned_[i] = pruned;
   cnt_abandoned_[i] = aband;
@@ -247,11 +229,6 @@ void Assigner::AssignBlock(const core::SbdEngine& engine, std::size_t base,
     stats_.computed += cnt_computed_[i];
     stats_.pruned_bounds += cnt_pruned_[i];
     stats_.abandoned_partial += cnt_abandoned_[i];
-  }
-  if (!verify_mismatch_.empty()) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      verify_count_ += verify_mismatch_[base + r];
-    }
   }
 }
 

@@ -1,20 +1,19 @@
 // The assign-series-to-centroids step, extracted into one implementation.
 //
-// Before this layer existed the scan lived in three copies: the k-Shape
-// iteration loop (src/core/kshape.cc), the streamed/sampled mini-batch driver
-// (src/cluster/minibatch_kshape.cc), and the classify-against-candidates path
-// behind the SBD BatchScanner (src/core/sbd.cc). All three now route through
-// Assigner, so the pruning layers — spectral early-abandon NCC and the
-// Hamerly-style movement bounds — and the telemetry partition are defined
-// exactly once.
+// Its callers: the k-Shape iteration driver (core::ClusterBlocks, for
+// in-memory and sharded runs alike), batch and online scoring
+// (model/fitted_model.h), and the classify-against-candidates path behind
+// the SBD BatchScanner (src/core/sbd.cc). The pruning layers — spectral
+// early-abandon NCC and the Hamerly-style movement bounds — and the
+// telemetry partition are defined exactly once.
 //
 // Ownership rules:
 //   - The Assigner owns the per-iteration centroid queries (minted in
 //     BeginIteration), the movement-bound state (ub/lb/shift arrays), and the
 //     per-series telemetry cells. Callers own the centroids, the assignment
 //     vector, and the engines.
-//   - Engines are passed per block: the in-memory drivers pass one engine
-//     with base 0, the sharded driver passes each shard's engine with the
+//   - Engines are passed per block: an in-memory run passes one engine
+//     with base 0, a sharded run passes each shard's engine with the
 //     shard's global base row. All engines of one clustering run must share
 //     one configuration (m, fft_len, spectrum layout, bound planes) — the
 //     MakeQueryFor interchange contract — which is what makes the minted
@@ -30,7 +29,7 @@
 // bound cells, and telemetry cells; comparison sequences are ascending in
 // the centroid index with strict-less updates. Results are bit-identical
 // across thread counts, SIMD backends, spectrum layouts (labels), and prune
-// gates (labels) — the same contracts the three original copies carried.
+// gates (labels).
 
 #ifndef KSHAPE_MODEL_ASSIGNER_H_
 #define KSHAPE_MODEL_ASSIGNER_H_
@@ -79,9 +78,6 @@ struct AssignerOptions {
   // Implies use_pruning at every current call site.
   bool use_movement_bounds = false;
   double prune_margin = 0.0;
-  // Exact recomputation of every argmin, counted outside the telemetry:
-  // mismatches accumulate in iteration_verify_mismatches().
-  bool verify = false;
 };
 
 class Assigner {
@@ -135,9 +131,6 @@ class Assigner {
   /// order across the blocks presented so far.
   const AssignmentIterationStats& iteration_stats() const { return stats_; }
 
-  /// Verify-mode mismatches observed this iteration.
-  long long iteration_verify_mismatches() const { return verify_count_; }
-
   /// This iteration's centroid queries (for callers' repair scans).
   const std::vector<core::SbdEngine::Query>& queries() const {
     return queries_;
@@ -178,9 +171,7 @@ class Assigner {
   // Per-series telemetry cells (disjoint writes in the parallel scans,
   // reduced sequentially in index order per block).
   std::vector<long long> cnt_computed_, cnt_pruned_, cnt_abandoned_;
-  std::vector<unsigned char> verify_mismatch_;
   AssignmentIterationStats stats_;
-  long long verify_count_ = 0;
 };
 
 }  // namespace kshape::model

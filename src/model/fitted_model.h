@@ -38,8 +38,10 @@
 // becomes an error, never an abort or an out-of-bounds read.
 //
 // Fingerprint semantics: the fingerprint records the configuration the model
-// was FITTED under (spectrum layout, pruning, conditioning policies). It is
-// diagnostic, not load-bearing: Predict() follows the current process gates,
+// was FITTED under (spectrum layout, pruning, conditioning policies). The
+// layout and pruning bits are the KSHAPE_HALF_SPECTRUM / KSHAPE_PRUNE gates
+// at fit time; no per-call option selects either path, so the gates are
+// exactly what the fit ran. It is diagnostic, not load-bearing: Predict() follows the current process gates,
 // and the bit-identity contract (tests/fitted_model_test.cc) guarantees
 // labels cannot depend on either side's gate settings. CheckFingerprint()
 // reports divergence for callers that want fit-time parity (e.g. telemetry
@@ -72,7 +74,8 @@ std::uint32_t ModelFormatVersionStamp();
 void SetModelFormatVersionStampForTesting(std::uint32_t version);
 void ResetModelFormatVersionStampForTesting();
 
-/// The configuration a model was fitted under.
+/// The configuration a model was fitted under: the process gates of the fit
+/// and the conditioning policies of its input.
 struct ModelFingerprint {
   bool half_spectrum = true;
   bool pruning = true;

@@ -132,12 +132,6 @@ class SeriesBatch {
     return SeriesView(data_ + i * m_, m_);
   }
 
-  /// True when the batch views one contiguous row-major buffer.
-  bool contiguous() const { return nested_ == nullptr; }
-
-  /// Row-major buffer when contiguous() (nullptr otherwise).
-  const double* data() const { return contiguous() ? data_ : nullptr; }
-
  private:
   const double* data_ = nullptr;
   const std::vector<Series>* nested_ = nullptr;

@@ -129,7 +129,6 @@ void ExpectBitIdentical(const ClusteringResult& a, const ClusteringResult& b,
   EXPECT_EQ(a.distances_pruned_bounds, b.distances_pruned_bounds) << what;
   EXPECT_EQ(a.distances_abandoned_partial, b.distances_abandoned_partial)
       << what;
-  EXPECT_EQ(a.pruned_label_mismatches, b.pruned_label_mismatches) << what;
   EXPECT_EQ(a.sampled_series, b.sampled_series) << what;
   ASSERT_EQ(a.assignment_stats.size(), b.assignment_stats.size()) << what;
   for (std::size_t t = 0; t < a.assignment_stats.size(); ++t) {
@@ -209,26 +208,46 @@ TEST(MiniBatchKShapeTest, ExactModeMatchesInMemoryWithPlusPlusSeeding) {
 
 TEST(MiniBatchKShapeTest, ExactModeMatchesInMemoryAcrossConfigMatrix) {
   ConfigGuard guard;
-  const std::size_t n = 24, m = 31;
+  const std::size_t n = 24;
   const int k = 3;
-  const std::vector<Series> series = MakeCorpus(n, m, 5);
-  for (bool half : {true, false}) {
-    for (bool prune : {true, false}) {
-      fft::SetHalfSpectrumEnabledForTesting(half);
-      core::SetPruningEnabledForTesting(prune);
-      const ClusteringResult reference =
-          RunInMemory(core::KShapeOptions{}, series, k, 17);
-      const auto [result, store] = RunSharded(
-          ShardedOptions(/*shard_rows=*/7, /*max_resident_shards=*/2),
-          series, k, 17,
-          std::string("cfg_") + (half ? "h" : "f") + (prune ? "p" : "x"));
-      ExpectBitIdentical(result, reference,
-                         std::string("half=") + (half ? "1" : "0") +
-                             " prune=" + (prune ? "1" : "0"));
-      if (!prune) {
-        // Exact non-pruned runs report the full n*k per iteration.
-        EXPECT_EQ(result.distances_computed,
-                  static_cast<long long>(n) * k * result.iterations);
+  // Per input and layout, the sharded pruned run must also match the
+  // sharded exact scan in labels and centroids (so every iteration's
+  // pruned labels matched, not just the last).
+  struct Input {
+    std::size_t m;
+    uint64_t corpus_seed;
+    uint64_t seed;
+    std::size_t max_resident_shards;
+  };
+  for (const Input& input : {Input{31, 5, 17, 2}, Input{37, 53, 59, 4}}) {
+    const std::vector<Series> series =
+        MakeCorpus(n, input.m, input.corpus_seed);
+    for (bool half : {true, false}) {
+      ClusteringResult exact_sharded;
+      for (bool prune : {false, true}) {
+        fft::SetHalfSpectrumEnabledForTesting(half);
+        core::SetPruningEnabledForTesting(prune);
+        const std::string what = "m=" + std::to_string(input.m) +
+                                 " half=" + (half ? "1" : "0") +
+                                 " prune=" + (prune ? "1" : "0");
+        const ClusteringResult reference =
+            RunInMemory(core::KShapeOptions{}, series, k, input.seed);
+        auto [result, store] = RunSharded(
+            ShardedOptions(/*shard_rows=*/7, input.max_resident_shards),
+            series, k, input.seed,
+            "cfg_" + std::to_string(input.m) + (half ? "h" : "f") +
+                (prune ? "p" : "x"));
+        ExpectBitIdentical(result, reference, what);
+        if (!prune) {
+          // Exact non-pruned runs report the full n*k per iteration.
+          EXPECT_EQ(result.distances_computed,
+                    static_cast<long long>(n) * k * result.iterations);
+          exact_sharded = std::move(result);
+        } else {
+          EXPECT_EQ(result.assignments, exact_sharded.assignments) << what;
+          EXPECT_EQ(result.centroids, exact_sharded.centroids) << what;
+          EXPECT_EQ(result.iterations, exact_sharded.iterations) << what;
+        }
       }
     }
   }
@@ -301,21 +320,6 @@ TEST(MiniBatchKShapeTest, RepairStreamsIdenticallyWhenClustersEmpty) {
   }
   // The sweep must actually exercise repair, not just pass vacuously.
   EXPECT_GT(runs_with_reseeds, 0);
-}
-
-TEST(MiniBatchKShapeTest, VerifyPruningSeesNoMismatchesSharded) {
-  ConfigGuard guard;
-  const std::size_t n = 24, m = 37;
-  const int k = 3;
-  core::KShapeOptions options;
-  options.verify_pruning = true;
-  const std::vector<Series> series = MakeCorpus(n, m, 53);
-  const ClusteringResult reference = RunInMemory(options, series, k, 59);
-  core::KShapeOptions sharded = options;
-  sharded.shard_rows = 7;
-  const auto [result, store] = RunSharded(sharded, series, k, 59, "verify");
-  ExpectBitIdentical(result, reference, "verify_pruning");
-  EXPECT_EQ(result.pruned_label_mismatches, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -447,6 +451,7 @@ TEST(MiniBatchKShapeTest, MinibatchDeterministicAcrossShardGeometry) {
   base.max_iterations = 9;
   const auto [reference, ref_store] =
       RunSharded(base, series, k, 103, "mb_g7");
+  EXPECT_GT(reference.sampled_series, 0);
   for (std::size_t shard_rows : {std::size_t{16}, n}) {
     core::KShapeOptions options = base;
     options.shard_rows = shard_rows;
@@ -456,6 +461,10 @@ TEST(MiniBatchKShapeTest, MinibatchDeterministicAcrossShardGeometry) {
     ExpectBitIdentical(result, reference,
                        "minibatch shard_rows " + std::to_string(shard_rows));
   }
+  // The in-memory KShape runs the same driver over the batch as one block,
+  // so the same minibatch_size samples, refines and assigns identically.
+  ExpectBitIdentical(RunInMemory(base, series, k, 103), reference,
+                     "minibatch in memory");
 }
 
 TEST(MiniBatchKShapeTest, MinibatchQualityTracksExactAcrossSeedsAndLengths) {

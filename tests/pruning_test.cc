@@ -1,5 +1,5 @@
-// Contract tests for bound-driven assignment pruning (KShapeOptions::
-// use_pruning + the KSHAPE_PRUNE gate) and the spectral early-abandon NCC
+// Contract tests for bound-driven assignment pruning (the KSHAPE_PRUNE
+// gate + KShapeOptions::prune_margin) and the spectral early-abandon NCC
 // bound underneath it (SbdEngine::{NccUpperBound, DistanceWithAbandon,
 // Nearest}).
 //
@@ -8,15 +8,16 @@
 //    on SBD) on power-of-two and Bluestein transform lengths alike;
 //  - abandoning never changes an argmin: Nearest() returns the identical
 //    index/distance the exhaustive scan finds;
-//  - pruned k-Shape produces the same labels as the exact scan at the
-//    default margin, on CBF (k = 3) and phase-jittered sines (k = 24),
-//    across seeds, thread counts, spectrum layouts, and SIMD backends;
+//  - pruned k-Shape produces the same labels and centroids as the exact
+//    scan at the default margin, on CBF (k = 3) and phase-jittered sines
+//    (k = 24), across seeds, thread counts, spectrum layouts, and SIMD
+//    backends;
 //  - prune_margin = +infinity is bit-identical to the exact path (the
 //    movement-bound layer off, the exactness-preserving spectral layer on);
 //  - the telemetry partition computed + pruned + abandoned == n*k holds for
 //    every assignment iteration, and the exact path reports the full n*k as
 //    computed;
-//  - the KSHAPE_PRUNE gate and verify_pruning behave as documented.
+//  - the KSHAPE_PRUNE gate behaves as documented.
 
 #include <cmath>
 #include <cstddef>
@@ -32,6 +33,7 @@
 #include "core/sbd_engine.h"
 #include "data/generators.h"
 #include "fft/fft.h"
+#include "fft/rfft.h"
 #include "model/assigner.h"
 #include "simd/dispatch.h"
 #include "tseries/normalization.h"
@@ -76,6 +78,21 @@ std::vector<Series> MakeJitterSines(std::size_t n, std::size_t m, int k,
   }
   return series;
 }
+
+// Restores the process-wide pruning and spectrum-layout gates on exit.
+class GateGuard {
+ public:
+  GateGuard()
+      : prune_(core::PruningEnabled()), half_(fft::HalfSpectrumEnabled()) {}
+  ~GateGuard() {
+    core::SetPruningEnabledForTesting(prune_);
+    fft::SetHalfSpectrumEnabledForTesting(half_);
+  }
+
+ private:
+  bool prune_;
+  bool half_;
+};
 
 cluster::ClusteringResult RunKShape(const core::KShapeOptions& options,
                                     const std::vector<Series>& series, int k,
@@ -219,20 +236,31 @@ TEST(PruningTest, BoundPlanesOffByDefault) {
 TEST(PruningTest, LabelsMatchExactAcrossSeedsThreadsLayoutsBackends) {
   const int saved_threads = common::ThreadCount();
   const simd::Backend saved_backend = simd::ActiveBackend();
+  GateGuard gate_guard;
 
   // CBF at k = 3 with random init, and k = 24 jittered sines with ++
   // seeding. m = 128 keeps the highest class frequency (47 cycles) below
-  // Nyquist, so no two classes alias onto one frequency.
+  // Nyquist, so no two classes alias onto one frequency. Three more CBF
+  // draws widen the k = 3 coverage. Equal centroids below mean every
+  // iteration's pruned labels matched the exact scan, not just the last.
   struct Corpus {
     const char* name;
     std::vector<Series> series;
     int k;
     core::KShapeInit init;
+    std::vector<uint64_t> seeds;
   };
   const Corpus corpora[] = {
-      {"cbf", MakeSeries(60, 64, 101), 3, core::KShapeInit::kRandomAssignment},
+      {"cbf", MakeSeries(60, 64, 101), 3, core::KShapeInit::kRandomAssignment,
+       {11, 12}},
       {"jitter-sines", MakeJitterSines(96, 128, 24, 102), 24,
-       core::KShapeInit::kPlusPlusSeeding},
+       core::KShapeInit::kPlusPlusSeeding, {11, 12}},
+      {"cbf-621", MakeSeries(60, 64, 621), 3,
+       core::KShapeInit::kRandomAssignment, {21}},
+      {"cbf-622", MakeSeries(60, 64, 622), 3,
+       core::KShapeInit::kRandomAssignment, {22}},
+      {"cbf-623", MakeSeries(60, 64, 623), 3,
+       core::KShapeInit::kRandomAssignment, {23}},
   };
 
   std::vector<simd::Backend> backends = {simd::Backend::kScalar};
@@ -240,24 +268,27 @@ TEST(PruningTest, LabelsMatchExactAcrossSeedsThreadsLayoutsBackends) {
 
   for (const Corpus& corpus : corpora) {
     long long skipped = 0;
-    for (uint64_t seed : {11u, 12u}) {
+    for (uint64_t seed : corpus.seeds) {
       for (bool half : {true, false}) {
-        core::KShapeOptions pruned_options;
-        pruned_options.init = corpus.init;
-        pruned_options.use_half_spectrum = half;
-        core::KShapeOptions exact_options = pruned_options;
-        exact_options.use_pruning = false;
+        fft::SetHalfSpectrumEnabledForTesting(half);
+        core::KShapeOptions options;
+        options.init = corpus.init;
 
         for (simd::Backend backend : backends) {
           simd::SetBackendForTesting(backend);
           std::vector<int> reference_assignments;
           for (int threads : {1, 2, 8}) {
             common::SetThreadCount(threads);
+            core::SetPruningEnabledForTesting(true);
             const cluster::ClusteringResult pruned =
-                RunKShape(pruned_options, corpus.series, corpus.k, seed);
+                RunKShape(options, corpus.series, corpus.k, seed);
+            core::SetPruningEnabledForTesting(false);
             const cluster::ClusteringResult exact =
-                RunKShape(exact_options, corpus.series, corpus.k, seed);
+                RunKShape(options, corpus.series, corpus.k, seed);
             EXPECT_EQ(pruned.assignments, exact.assignments)
+                << corpus.name << " seed=" << seed << " half=" << half
+                << " threads=" << threads;
+            EXPECT_EQ(pruned.centroids, exact.centroids)
                 << corpus.name << " seed=" << seed << " half=" << half
                 << " threads=" << threads;
             EXPECT_EQ(pruned.iterations, exact.iterations);
@@ -277,11 +308,8 @@ TEST(PruningTest, LabelsMatchExactAcrossSeedsThreadsLayoutsBackends) {
         }
       }
     }
-    // Parity means little if nothing was pruned (KSHAPE_PRUNE=off forces
-    // both runs onto the exact scan).
-    if (core::PruningEnabled()) {
-      EXPECT_GT(skipped, 0) << corpus.name;
-    }
+    // Parity means little if nothing was pruned.
+    EXPECT_GT(skipped, 0) << corpus.name;
   }
   common::SetThreadCount(saved_threads);
   simd::SetBackendForTesting(saved_backend);
@@ -316,13 +344,14 @@ TEST(PruningTest, PrunedPathBitIdenticalAcrossBackends) {
 
 TEST(PruningTest, InfiniteMarginBitIdenticalToExactPath) {
   const std::vector<Series> series = MakeSeries(45, 64, 303);
+  GateGuard gate_guard;
   core::KShapeOptions inf_options;
   inf_options.prune_margin = std::numeric_limits<double>::infinity();
-  core::KShapeOptions exact_options;
-  exact_options.use_pruning = false;
 
   const cluster::ClusteringResult a = RunKShape(inf_options, series, 3, 9);
-  const cluster::ClusteringResult b = RunKShape(exact_options, series, 3, 9);
+  core::SetPruningEnabledForTesting(false);
+  const cluster::ClusteringResult b =
+      RunKShape(core::KShapeOptions{}, series, 3, 9);
   EXPECT_EQ(a.assignments, b.assignments);
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.converged, b.converged);
@@ -342,9 +371,10 @@ TEST(PruningTest, InfiniteMarginBitIdenticalToExactPath) {
 
 TEST(PruningTest, ExactPathReportsFullScanTelemetry) {
   const std::vector<Series> series = MakeSeries(30, 48, 404);
-  core::KShapeOptions options;
-  options.use_pruning = false;
-  const cluster::ClusteringResult r = RunKShape(options, series, 3, 13);
+  GateGuard gate_guard;
+  core::SetPruningEnabledForTesting(false);
+  const cluster::ClusteringResult r =
+      RunKShape(core::KShapeOptions{}, series, 3, 13);
   ASSERT_EQ(r.assignment_stats.size(),
             static_cast<std::size_t>(r.iterations));
   for (const cluster::AssignmentIterationStats& s : r.assignment_stats) {
@@ -358,7 +388,8 @@ TEST(PruningTest, ExactPathReportsFullScanTelemetry) {
 
 TEST(PruningTest, PruneGateOffForcesExactScan) {
   const std::vector<Series> series = MakeSeries(30, 48, 505);
-  core::KShapeOptions options;  // use_pruning defaults to true.
+  core::KShapeOptions options;
+  GateGuard gate_guard;
   core::SetPruningEnabledForTesting(false);
   const cluster::ClusteringResult gated = RunKShape(options, series, 3, 17);
   core::SetPruningEnabledForTesting(true);
@@ -371,24 +402,15 @@ TEST(PruningTest, PruneGateOffForcesExactScan) {
   EXPECT_EQ(gated.assignments, pruned.assignments);
 }
 
-TEST(PruningTest, VerifyModeReportsNoMismatchesAtDefaultMargin) {
-  for (uint64_t seed : {21u, 22u, 23u}) {
-    const std::vector<Series> series = MakeSeries(60, 64, 600 + seed);
-    core::KShapeOptions options;
-    options.verify_pruning = true;
-    const cluster::ClusteringResult r = RunKShape(options, series, 3, seed);
-    EXPECT_EQ(r.pruned_label_mismatches, 0) << "seed=" << seed;
-    ExpectTelemetryPartition(r, series.size(), 3);
-  }
-}
-
 TEST(PruningTest, PruningActuallySkipsWorkOnceSettled) {
   // Not a hard performance bound — just a guard that the machinery engages:
   // on well-separated clusters some later iteration must skip a nonzero
   // share of the n*k candidate pairs.
   const std::vector<Series> series = MakeSeries(120, 128, 707);
-  core::KShapeOptions options;
-  const cluster::ClusteringResult r = RunKShape(options, series, 3, 29);
+  GateGuard gate_guard;
+  core::SetPruningEnabledForTesting(true);
+  const cluster::ClusteringResult r =
+      RunKShape(core::KShapeOptions{}, series, 3, 29);
   ASSERT_GE(r.iterations, 2);
   long long skipped_after_first = 0;
   for (std::size_t it = 1; it < r.assignment_stats.size(); ++it) {

@@ -129,16 +129,18 @@ TEST(SbdCacheTest, PairwiseMatrixConventions) {
   std::vector<Series> series = MakeSeries(9, 32, 5);
   series.push_back(Series(32, 0.0));  // Zero-norm member.
   const core::SbdEngine engine(series);
-  const linalg::Matrix d = engine.PairwiseMatrix();
+  std::vector<double> d;
+  engine.PairwiseFlat(&d);
   const std::size_t n = series.size();
+  ASSERT_EQ(d.size(), n * n);
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(d(i, i), 0.0);  // Exact zero diagonal.
+    EXPECT_EQ(d[i * n + i], 0.0);  // Exact zero diagonal.
     for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_EQ(d(i, j), d(j, i));  // Bitwise symmetry.
+      EXPECT_EQ(d[i * n + j], d[j * n + i]);  // Bitwise symmetry.
     }
     // Zero-norm convention: exactly 1 against every other series.
     if (i + 1 < n) {
-      EXPECT_EQ(d(i, n - 1), 1.0);
+      EXPECT_EQ(d[i * n + n - 1], 1.0);
     }
   }
 }
@@ -357,23 +359,23 @@ TEST(SbdCacheTest, DirectSbdGateMatchesFullComplexPath) {
   fft::SetHalfSpectrumEnabledForTesting(saved);
 }
 
-TEST(SbdCacheTest, KShapeHalfSpectrumOptionMatchesFull) {
+TEST(SbdCacheTest, KShapeHalfSpectrumGateMatchesFull) {
   // Same seed, two cache layouts: epsilon-level distance differences never
   // flip an argmin or alignment shift on this data, so labels, centroids,
   // and telemetry all match exactly.
   const std::vector<Series> series = MakeSeries(45, 64, 20);
-  core::KShapeOptions half_options;
-  half_options.init = core::KShapeInit::kPlusPlusSeeding;
-  core::KShapeOptions full_options = half_options;
-  full_options.use_half_spectrum = false;
-  ASSERT_TRUE(half_options.use_half_spectrum);  // Documented default.
-  const core::KShape half(half_options);
-  const core::KShape full(full_options);
+  core::KShapeOptions options;
+  options.init = core::KShapeInit::kPlusPlusSeeding;
+  const core::KShape kshape(options);
+  const bool saved = fft::HalfSpectrumEnabled();
 
   common::Rng rng_a(21);
   common::Rng rng_b(21);
-  const cluster::ClusteringResult a = half.Cluster(series, 3, &rng_a);
-  const cluster::ClusteringResult b = full.Cluster(series, 3, &rng_b);
+  fft::SetHalfSpectrumEnabledForTesting(true);
+  const cluster::ClusteringResult a = kshape.Cluster(series, 3, &rng_a);
+  fft::SetHalfSpectrumEnabledForTesting(false);
+  const cluster::ClusteringResult b = kshape.Cluster(series, 3, &rng_b);
+  fft::SetHalfSpectrumEnabledForTesting(saved);
   EXPECT_EQ(a.assignments, b.assignments);
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.converged, b.converged);

@@ -118,10 +118,9 @@ TEST(SeriesBatchTest, ContiguousBatchViewsStoreRows) {
   store.Append(Series{1.0, 2.0});
   store.Append(Series{3.0, 4.0});
   const SeriesBatch batch(store);
-  EXPECT_TRUE(batch.contiguous());
   EXPECT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch.length(), 2u);
-  EXPECT_EQ(batch.data(), store.data());
+  EXPECT_EQ(batch[0].data(), store.data());
   EXPECT_EQ(batch[1].data(), store.view(1).data());
   EXPECT_DOUBLE_EQ(batch[1][0], 3.0);
 }
@@ -129,8 +128,6 @@ TEST(SeriesBatchTest, ContiguousBatchViewsStoreRows) {
 TEST(SeriesBatchTest, NestedBatchViewsVectorRows) {
   const std::vector<Series> rows = {{1.0, 2.0}, {3.0, 4.0}};
   const SeriesBatch batch(rows);
-  EXPECT_FALSE(batch.contiguous());
-  EXPECT_EQ(batch.data(), nullptr);
   EXPECT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch.length(), 2u);
   EXPECT_EQ(batch[0].data(), rows[0].data());

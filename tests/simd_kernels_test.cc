@@ -576,11 +576,11 @@ TEST(EndToEndInvarianceTest, KShapeHalfSpectrumLabelsAndTelemetry) {
   // and telemetry — is bit-identical across the two layouts, and each layout
   // is separately invariant across backends and thread counts.
   const std::vector<Series> series = MakeSeries(36, 64, 307);
+  HalfSpectrumGateGuard gate_guard;
   cluster::ClusteringResult per_layout[2];
   for (const bool half : {false, true}) {
-    core::KShapeOptions options;
-    options.use_half_spectrum = half;
-    const core::KShape algorithm(options);
+    fft::SetHalfSpectrumEnabledForTesting(half);
+    const core::KShape algorithm;
     const auto run = [&] {
       common::Rng rng(7);
       return algorithm.Cluster(series, 3, &rng);
@@ -598,11 +598,12 @@ TEST(EndToEndInvarianceTest, KShapePlusPlusSeedingHalfSpectrum) {
   // ++-seeding draws from the cached distance-to-nearest-seed distribution,
   // so it exercises DistanceToAll through both spectrum layouts.
   const std::vector<Series> series = MakeSeries(36, 64, 308);
+  HalfSpectrumGateGuard gate_guard;
   cluster::ClusteringResult per_layout[2];
   for (const bool half : {false, true}) {
+    fft::SetHalfSpectrumEnabledForTesting(half);
     core::KShapeOptions options;
     options.init = core::KShapeInit::kPlusPlusSeeding;
-    options.use_half_spectrum = half;
     const core::KShape algorithm(options);
     const auto run = [&] {
       common::Rng rng(11);
