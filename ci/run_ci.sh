@@ -30,20 +30,25 @@
 #    stays unfused on FMA hosts.
 # 3. ThreadSanitizer build; parallel_test, thread_pool_test, sbd_cache_test,
 #    rfft_test, simd_kernels_test, pruning_test, sharded_store_test,
-#    shape_extraction_test, minibatch_kshape_test and fitted_model_test run
-#    under TSan. They cover the pool, the FFT/RFFT plan caches, the
-#    spectrum-cached SBD pipeline, the kernel dispatch cache, the pruned
-#    assignment scan and its gate atomics, the shard residency cache, the
-#    sharded assignment fan-out, the matrix-free extraction matvec
-#    (RowPoolMatVec's disjoint partial blocks) and Predict's parallel
-#    assignment over a frozen model.
+#    shape_extraction_test, minibatch_kshape_test, fitted_model_test and
+#    kshape_test run under TSan. They cover the pool, the FFT/RFFT plan
+#    caches, the spectrum-cached SBD pipeline, the kernel dispatch cache, the
+#    pruned assignment scan and its gate atomics, the shard residency cache,
+#    the sharded assignment fan-out, the matrix-free extraction matvec
+#    (RowPoolMatVec's disjoint partial blocks), Predict's parallel
+#    assignment over a frozen model, and the k-Shape shift record (cells
+#    written by the parallel assignment scan, read by the refinement on the
+#    coordinating thread).
 # 4. AddressSanitizer+UBSan build; the robustness suites (degenerate inputs,
 #    property sweeps over hostile data, conditioning) plus simd_kernels_test
 #    (unaligned loads, odd tails), rfft_test (packed-bin indexing),
 #    pruning_test (bound-plane indexing), sharded_store_test (truncated or
 #    corrupt shards), minibatch_kshape_test (sampled scatter indexing),
-#    shape_extraction_test (pooled-row and partial-block indexing) and
-#    fitted_model_test (the .kmodel corruption matrix) run under ASan+UBSan.
+#    shape_extraction_test (pooled-row and partial-block indexing),
+#    fitted_model_test (the .kmodel corruption matrix), and kshape_test and
+#    sbd_cache_test (members aligned by the assignment's recorded shift, so
+#    a stale or sentinel shift that reaches the row indexing is reported)
+#    run under ASan+UBSan.
 #
 # Usage: ci/run_ci.sh [build-dir-prefix]   (default: build-ci)
 
@@ -110,9 +115,10 @@ cmake -B "${TSAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "${TSAN_DIR}" -j "${JOBS}" \
       --target parallel_test thread_pool_test sbd_cache_test rfft_test \
                simd_kernels_test pruning_test sharded_store_test \
-               shape_extraction_test minibatch_kshape_test fitted_model_test
+               shape_extraction_test minibatch_kshape_test fitted_model_test \
+               kshape_test
 
-echo "==> race check: the ten threaded suites under TSan"
+echo "==> race check: the eleven threaded suites under TSan"
 # Run the parallel paths at a thread count high enough to force real
 # interleaving even on small CI machines.
 KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
@@ -135,6 +141,8 @@ KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
     "${TSAN_DIR}/tests/minibatch_kshape_test"
 KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
     "${TSAN_DIR}/tests/fitted_model_test"
+KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
+    "${TSAN_DIR}/tests/kshape_test"
 
 echo "==> ASan+UBSan build (${ASAN_DIR})"
 cmake -B "${ASAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -142,7 +150,8 @@ cmake -B "${ASAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "${ASAN_DIR}" -j "${JOBS}" \
       --target degenerate_input_test robustness_properties_test tseries_test \
                rfft_test simd_kernels_test pruning_test sharded_store_test \
-               shape_extraction_test minibatch_kshape_test fitted_model_test
+               shape_extraction_test minibatch_kshape_test fitted_model_test \
+               kshape_test sbd_cache_test
 
 echo "==> hostile-input check: robustness suites under ASan+UBSan"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
@@ -175,5 +184,11 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     "${ASAN_DIR}/tests/fitted_model_test"
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    "${ASAN_DIR}/tests/kshape_test"
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    "${ASAN_DIR}/tests/sbd_cache_test"
 
 echo "==> CI OK"

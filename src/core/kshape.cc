@@ -206,6 +206,15 @@ cluster::ClusteringResult ClusterBlocks(const KShapeOptions& options,
     return options.assignment_distance->Distance(result.centroids[j],
                                                  block.rows[r]);
   };
+  // Per global row, the shift of its winning NCC peak against the centroid
+  // the last assignment pass gave it (Assigner::kNoShift when none is on
+  // record). Refinement aligns each member to that same centroid, so a
+  // recorded shift spares it every transform.
+  std::vector<int> shifts(cached ? n : 0, model::Assigner::kNoShift);
+  const auto forget_shifts = [&] {
+    std::fill(shifts.begin(), shifts.end(), model::Assigner::kNoShift);
+  };
+
   // Empty-cluster repair scans ascending global indices, fetching each
   // row's block as it goes (one load per block per empty cluster, worst
   // case, on a sharded corpus).
@@ -233,32 +242,56 @@ cluster::ClusteringResult ClusterBlocks(const KShapeOptions& options,
     // cluster, aligned to the previous centroid and fed in global index
     // order, then Finish in cluster order so cold-start rng draws replay
     // identically. The accumulators pool every member they are fed: O(n·m)
-    // extraction memory across the k clusters on a full pass. A degenerate
-    // extraction (all members zero-norm) keeps the zero centroid as its
-    // documented representative and is surfaced via the result flag.
+    // extraction memory across the k clusters on a full pass, each pool
+    // sized once from the member count. A degenerate extraction (all
+    // members zero-norm) keeps the zero centroid as its documented
+    // representative and is surfaced via the result flag.
+    //
+    // The previous centroid is the one the last assignment pass scanned, so
+    // on the cached path a member aligns by its recorded shift; one the
+    // movement bounds pruned whole (or a sampled pass skipped) costs one
+    // inverse transform against that centroid's query instead. Engine-free
+    // runs align by per-pair Sbd().
     common::Stopwatch phase_clock;
     {
+      std::vector<std::size_t> members(k, 0);
+      if (full_pass) {
+        for (int a : result.assignments) ++members[a];
+      } else {
+        for (std::size_t i : sample) ++members[result.assignments[i]];
+      }
       std::vector<ShapeAccumulator> accumulators;
       accumulators.reserve(k);
       for (int j = 0; j < k; ++j) {
         accumulators.emplace_back(result.centroids[j], options.shape_options);
+        accumulators[j].Reserve(members[j]);
       }
+      const auto feed = [&](const SeriesBlock& block, std::size_t i) {
+        const std::size_t r = i - block.base;
+        const int j = result.assignments[i];
+        ShapeAccumulator& accumulator = accumulators[j];
+        if (block.engine == nullptr) {
+          accumulator.Add(block.rows[r]);
+          return;
+        }
+        int shift = shifts[i];
+        if (shift == model::Assigner::kNoShift && accumulator.aligns()) {
+          shift = block.engine->MaxNcc(assigner.queries()[j], r).shift;
+        }
+        accumulator.Add(block.rows[r], shift);
+      };
       if (full_pass) {
         for (std::size_t b = 0; b < blocks->num_blocks(); ++b) {
           const SeriesBlock block = blocks->Block(b);
           for (std::size_t r = 0; r < block.rows.size(); ++r) {
-            accumulators[result.assignments[block.base + r]].Add(
-                block.rows[r]);
+            feed(block, block.base + r);
           }
         }
       } else {
         ForEachSampleBlock(blocks, sample, [&](const SeriesBlock& block,
                                                std::size_t pos,
                                                std::size_t stop) {
-          for (std::size_t t = pos; t < stop; ++t) {
-            const std::size_t i = sample[t];
-            accumulators[result.assignments[i]].Add(block.rows[i - block.base]);
-          }
+          for (std::size_t t = pos; t < stop; ++t) feed(block, sample[t]);
         });
       }
       result.degenerate_centroids = 0;
@@ -281,13 +314,17 @@ cluster::ClusteringResult ClusterBlocks(const KShapeOptions& options,
     // Assignment step (Algorithm 3, lines 11-17). BeginIteration mints this
     // iteration's centroid queries once (k forward transforms, valid against
     // every block engine) and derives the movement-bound shifts; rows fan
-    // out on the pool inside the Assigner with disjoint writes.
+    // out on the pool inside the Assigner with disjoint writes. The shift
+    // record is cleared first, so a row this pass does not scan (outside
+    // the sample) cannot keep a shift against a centroid that has moved.
     assigner.BeginIteration(result.centroids);
+    forget_shifts();
     if (full_pass) {
       for (std::size_t b = 0; b < blocks->num_blocks(); ++b) {
         const SeriesBlock block = blocks->Block(b);
         if (block.engine != nullptr) {
-          assigner.AssignBlock(*block.engine, block.base, &result.assignments);
+          assigner.AssignBlock(*block.engine, block.base, &result.assignments,
+                               /*distances=*/nullptr, &shifts);
         } else {
           assigner.AssignBlockWith(
               [&](int j, std::size_t i) {
@@ -301,7 +338,7 @@ cluster::ClusteringResult ClusterBlocks(const KShapeOptions& options,
                                              std::size_t pos,
                                              std::size_t stop) {
         assigner.AssignSample(*block.engine, block.base, sample, pos, stop,
-                              &result.assignments);
+                              &result.assignments, &shifts);
       });
     }
     const cluster::AssignmentIterationStats stats =
@@ -315,10 +352,12 @@ cluster::ClusteringResult ClusterBlocks(const KShapeOptions& options,
     // its current centroid, so every requested cluster stays populated
     // (shared policy — see RepairEmptyClusters for the tie-break contract).
     // Sizes are counted first, so a run with no empty cluster fetches no
-    // block here.
+    // block here. A reseeded row changes cluster without a shift against
+    // its new centroid, so any reseed clears the shift record.
     const int reseeds = cluster::RepairEmptyClusters(
         k, &result.assignments, repair_distance);
     result.empty_cluster_reseeds += reseeds;
+    if (reseeds > 0) forget_shifts();
     assigner.FinishIteration(reseeds);
     result.assignment_seconds += phase_clock.ElapsedSeconds();
 

@@ -57,8 +57,9 @@ struct KShapeOptions {
   ///     after refinement the k centroid-shift distances tighten per-series
   ///     upper bounds (distance to owner) and lower bounds (second-closest);
   ///     a series whose bounds stay separated keeps its label with zero
-  ///     distance calls. SBD is not a guaranteed metric, so this layer is
-  ///     heuristic and guarded by this margin.
+  ///     distance calls. sqrt(min(SBD, 1)) is a metric (DESIGN.md,
+  ///     "Movement bounds"), so the triangle inequality these updates rely
+  ///     on holds up to rounding, which this margin guards.
   ///  2. Spectral early-abandon NCC — candidates whose partial-sum NCC upper
   ///     bound (SbdEngine::DistanceWithAbandon) cannot beat the best-so-far
   ///     are dropped without an inverse transform. This layer is rigorous
@@ -68,12 +69,11 @@ struct KShapeOptions {
   ///
   /// The margin is in SBD distance units: a series is pruned only when its
   /// owner-distance upper bound clears the second-closest lower bound by
-  /// more than this, absorbing both bound rounding and small
-  /// triangle-inequality violations of the non-metric SBD. Larger values
-  /// prune less; +infinity disables the movement-bound layer entirely and
-  /// makes the run bit-identical to the exact path (the spectral layer is
-  /// exactness-preserving on its own). The default absorbs every violation
-  /// observed on the test corpora with orders of magnitude to spare.
+  /// more than this. It is a rounding guard: the computed SBDs carry a few
+  /// ulps, about 1e-8 after the square root at SBD near 0, and the bounds
+  /// accumulate those. Larger values prune less; +infinity disables the
+  /// movement-bound layer entirely and makes the run bit-identical to the
+  /// exact path (the spectral layer is exactness-preserving on its own).
   double prune_margin = 1e-6;
 
   /// Mini-batch size B: when 0 < B < n, most iterations draw a uniform

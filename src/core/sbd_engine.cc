@@ -276,11 +276,20 @@ double SbdEngine::Distance(std::size_t i, std::size_t j) const {
   return 1.0 - RawPeak(i, j).value * (1.0 / den);
 }
 
-double SbdEngine::Distance(const Query& q, std::size_t i) const {
+double SbdEngine::Distance(const Query& q, std::size_t i, int* shift) const {
   KSHAPE_CHECK(i < size());
   const double den = q.norm * norms_[i];
-  if (den == 0.0) return 1.0;
-  return 1.0 - RawPeak(q, i).value * (1.0 / den);
+  if (den == 0.0) {
+    if (shift != nullptr) *shift = ShiftOf(0);  // MaxNcc's zero-norm peak.
+    return 1.0;
+  }
+  // The peak MaxNcc reports, read as a distance. `1 - raw·(1/den)` stays one
+  // expression rather than `1 - MaxNcc().value`: where FMA contraction is
+  // allowed (-march=native), the rounded product could then fuse into the
+  // subtraction at some call sites and not at others.
+  const simd::Peak raw = RawPeak(q, i);
+  if (shift != nullptr) *shift = ShiftOf(raw.index);
+  return 1.0 - raw.value * (1.0 / den);
 }
 
 NccPeak SbdEngine::MaxNcc(const Query& q, std::size_t i) const {
@@ -290,12 +299,12 @@ NccPeak SbdEngine::MaxNcc(const Query& q, std::size_t i) const {
   if (den == 0.0) {
     // Mirror MaxNcc over the all-zero NCCc sequence: value 0 at index 0.
     peak.value = 0.0;
-    peak.shift = -static_cast<int>(m_ - 1);
+    peak.shift = ShiftOf(0);
     return peak;
   }
   const simd::Peak raw = RawPeak(q, i);
   peak.value = raw.value * (1.0 / den);
-  peak.shift = static_cast<int>(raw.index) - static_cast<int>(m_ - 1);
+  peak.shift = ShiftOf(raw.index);
   return peak;
 }
 
@@ -328,13 +337,14 @@ double SbdEngine::NccUpperBound(const Query& q, std::size_t i) const {
 }
 
 double SbdEngine::DistanceWithAbandon(const Query& q, std::size_t i,
-                                      double cutoff, bool* abandoned) const {
+                                      double cutoff, bool* abandoned,
+                                      int* shift) const {
   KSHAPE_CHECK(i < size());
   KSHAPE_CHECK_MSG(has_bound_planes() && !q.mag.empty(),
                    "spectral bound requires bound planes on engine and query");
   *abandoned = false;
   const double den = q.norm * norms_[i];
-  if (den == 0.0) return 1.0;  // Sbd() zero-norm convention, exact.
+  if (den == 0.0) return Distance(q, i, shift);  // Exactly 1, no bound.
   // SBD > cutoff  ⟺  peak NCC < 1 - cutoff  ⟸  Σ w|Q||X| < (1-cutoff)·N·den.
   const double n_den = static_cast<double>(fft_len_) * den;
   const double threshold = (1.0 - cutoff) * n_den;
@@ -347,7 +357,7 @@ double SbdEngine::DistanceWithAbandon(const Query& q, std::size_t i,
     *abandoned = true;
     return 1.0 - s / n_den;
   }
-  return Distance(q, i);
+  return Distance(q, i, shift);
 }
 
 void SbdEngine::PairwiseFlat(std::vector<double>* flat) const {

@@ -149,8 +149,11 @@ class SbdEngine {
   /// Mirrors Sbd()'s zero-norm convention (distance 1).
   double Distance(std::size_t i, std::size_t j) const;
 
-  /// SBD(q, series[i]), with the query in the x role of Sbd(x, y).
-  double Distance(const Query& q, std::size_t i) const;
+  /// SBD(q, series[i]), with the query in the x role of Sbd(x, y): one
+  /// minus the MaxNcc(q, i) peak value. `shift`, when non-null, receives
+  /// MaxNcc(q, i).shift — the lag that aligns series[i] to q (the shift
+  /// argument of tseries::ShiftWithZeroFill).
+  double Distance(const Query& q, std::size_t i, int* shift = nullptr) const;
 
   /// Peak NCCc value and optimal shift of series[i] relative to q — the
   /// cached analogue of MaxNcc(q, series[i], kCoefficient).
@@ -181,10 +184,11 @@ class SbdEngine {
   /// partial-sum NCC bound band-by-band, and as soon as it certifies
   /// SBD(q, i) > cutoff, returns a valid LOWER bound on the distance
   /// (> cutoff) with *abandoned = true — no inverse transform spent.
-  /// Otherwise returns the exact Distance(q, i) with *abandoned = false.
-  /// cutoff = +infinity never abandons. Requires bound planes.
+  /// Otherwise returns the exact Distance(q, i, shift) with *abandoned =
+  /// false; `shift`, when non-null, is written only then. cutoff = +infinity
+  /// never abandons. Requires bound planes.
   double DistanceWithAbandon(const Query& q, std::size_t i, double cutoff,
-                             bool* abandoned) const;
+                             bool* abandoned, int* shift = nullptr) const;
 
   /// Headroom added to early-abandon cutoffs so bound rounding (sqrt'd
   /// suffix energies, the band dot product) can never abandon a true
@@ -196,6 +200,11 @@ class SbdEngine {
   // query q, routed through whichever spectrum layout the engine holds.
   simd::Peak RawPeak(std::size_t i, std::size_t j) const;
   simd::Peak RawPeak(const Query& q, std::size_t i) const;
+
+  // The NCC shift of lag-buffer index `index`.
+  int ShiftOf(std::size_t index) const {
+    return static_cast<int>(index) - static_cast<int>(m_ - 1);
+  }
 
   std::size_t m_ = 0;
   std::size_t fft_len_ = 0;

@@ -72,9 +72,26 @@ ShapeAccumulator::ShapeAccumulator(tseries::SeriesView reference,
   KSHAPE_CHECK_MSG(!reference_.empty(), "empty shape-extraction reference");
 }
 
+void ShapeAccumulator::Reserve(std::size_t members) {
+  pool_.Reserve(members, reference_.size());
+}
+
 void ShapeAccumulator::Add(tseries::SeriesView member) {
-  const std::size_t m = reference_.size();
-  KSHAPE_CHECK_MSG(member.size() == m, "member length mismatch");
+  KSHAPE_CHECK_MSG(member.size() == reference_.size(),
+                   "member length mismatch");
+  Pool(align_ ? Sbd(reference_, member).aligned_y
+              : tseries::Series(member.begin(), member.end()));
+}
+
+void ShapeAccumulator::Add(tseries::SeriesView member, int shift) {
+  KSHAPE_CHECK_MSG(member.size() == reference_.size(),
+                   "member length mismatch");
+  // The row Sbd(reference, member) would align, read off the shift alone.
+  Pool(align_ ? tseries::ShiftWithZeroFill(member, shift)
+              : tseries::Series(member.begin(), member.end()));
+}
+
+void ShapeAccumulator::Pool(tseries::Series aligned) {
   ++added_;
   // Pool the aligned, z-normalized members y_i; S = sum_i y_i y_i^T is
   // applied from the pool (or folded from it for a dense solve) in Finish.
@@ -82,9 +99,6 @@ void ShapeAccumulator::Add(tseries::SeriesView member) {
   // contribute nothing to S or the mean; they are skipped so a fully
   // degenerate member set can be detected instead of feeding the zero matrix
   // to the eigensolver, which would return an arbitrary start vector.
-  tseries::Series aligned = align_ ? Sbd(reference_, member).aligned_y
-                                   : tseries::Series(member.begin(),
-                                                     member.end());
   tseries::ZNormalizeInPlace(&aligned);
   if (linalg::Norm(aligned) == 0.0) return;
   pool_.Append(aligned);

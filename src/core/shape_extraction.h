@@ -116,10 +116,10 @@ ExtractedShape ExtractShapeFlagged(const tseries::SeriesBatch& members,
 /// by member.
 ///
 /// Usage: construct with the alignment reference (the previous centroid; the
-/// reference is copied, so the view may die immediately), Add() each member
-/// in a deterministic order, then Finish(). Not thread-safe; one accumulator
-/// per cluster, fed from the coordinating thread (Finish's matrix-free path
-/// fans out internally).
+/// reference is copied, so the view may die immediately), optionally
+/// Reserve() the member count, Add() each member in a deterministic order,
+/// then Finish(). Not thread-safe; one accumulator per cluster, fed from the
+/// coordinating thread (Finish's matrix-free path fans out internally).
 class ShapeAccumulator {
  public:
   /// `reference` must be non-empty; its length fixes the member length. A
@@ -129,10 +129,27 @@ class ShapeAccumulator {
   explicit ShapeAccumulator(tseries::SeriesView reference,
                             const ShapeExtractionOptions& options = {});
 
-  /// Folds one member into the running state (pooled row plus the mean).
+  /// Pre-sizes the pool for `members` more Add() calls, so it is allocated
+  /// once instead of growing row by row. Changes no result.
+  void Reserve(std::size_t members);
+
+  /// Folds one member into the running state (pooled row plus the mean),
+  /// aligned to the reference by a per-pair Sbd(reference, member).
   /// Members that z-normalize to the zero series after alignment are counted
   /// but contribute nothing (the degenerate-set rule of ExtractShapeFlagged).
   void Add(tseries::SeriesView member);
+
+  /// Add() with the alignment already known: `shift` is the NCC peak shift
+  /// of `member` against the reference (Sbd(reference, member).shift, or
+  /// SbdEngine::MaxNcc against the reference's query), and the member is
+  /// aligned by tseries::ShiftWithZeroFill alone — no transform. The aligned
+  /// row depends only on the integer shift, so this pools exactly the row
+  /// Add(member) would for the same shift. Ignored when the reference has
+  /// zero norm (alignment is off); otherwise must lie in (-m, m).
+  void Add(tseries::SeriesView member, int shift);
+
+  /// True when members are aligned to the reference (its norm is nonzero).
+  bool aligns() const { return align_; }
 
   /// Number of Add() calls so far (including degenerate members).
   std::size_t members_added() const { return added_; }
@@ -147,6 +164,10 @@ class ShapeAccumulator {
                         const ShapeExtractionOptions& options = {}) const;
 
  private:
+  // Counts one member and pools its aligned row unless it z-normalizes to
+  // zero.
+  void Pool(tseries::Series aligned);
+
   // The symmetric Gram S = Σ yᵢyᵢᵀ folded from the pool in Add order and
   // mirrored to both triangles, for the dense solves.
   linalg::Matrix MirroredGram() const;

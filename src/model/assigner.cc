@@ -95,34 +95,39 @@ void Assigner::BeginIteration(const tseries::SeriesBatch& centroids) {
 void Assigner::PrunedScanIndex(const core::SbdEngine& engine, std::size_t i,
                                std::size_t row, bool use_bounds,
                                std::vector<int>* assignments,
-                               std::vector<double>* distances) {
+                               std::vector<double>* distances,
+                               std::vector<int>* shifts) {
   const int k = options_.k;
   const double margin = options_.prune_margin;
   const int owner = (*assignments)[i];
   long long comp = 0, pruned = 0, aband = 0;
   bool scanned = true;
   double d_owner = 0.0;
+  int owner_shift = kNoShift;
   if (use_bounds) {
     // Apply this iteration's centroid movement to the bounds. Bounds live in
-    // the sqrt(SBD) domain, where SBD behaves (approximately) like a squared
-    // chordal distance and the triangle inequality the movement updates rely
-    // on approximately holds:
+    // the sqrt(SBD) domain, where sqrt(min(SBD, 1)) is a metric (DESIGN.md,
+    // "Movement bounds"), so the triangle inequality the movement updates
+    // rely on holds exactly in real arithmetic while lb_r stays at or
+    // below 1:
     //   ub_r[i] >= sqrt(d(i, centroid of a_i))     (upper, owner distance)
     //   lb_r[i] <= sqrt(min_{j != a_i} d(i, c_j))  (lower, second-closest)
-    // Comparisons happen back in SBD units with the prune_margin slack.
+    // Comparisons happen back in SBD units with the prune_margin slack,
+    // which only has to absorb floating-point rounding.
     ub_r_[i] += shift_r_[owner];
     lb_r_[i] -= owner == max_shift_arg_ ? max_shift2_ : max_shift1_;
     if (lb_r_[i] < 0.0) lb_r_[i] = 0.0;
     const double ub2 = ub_r_[i] * ub_r_[i];
     const double lb2 = lb_r_[i] * lb_r_[i];
     if (ub2 + margin <= lb2) {
-      // Whole-series prune: no centroid can take this series.
+      // Whole-series prune: no centroid can take this series, and no
+      // distance (so no shift) was computed for it.
       pruned = k;
       scanned = false;
     } else {
       // Tighten the upper bound with the exact owner distance, then re-test
       // (Hamerly's second check).
-      d_owner = engine.Distance(queries_[owner], row);
+      d_owner = engine.Distance(queries_[owner], row, &owner_shift);
       ++comp;
       ub_r_[i] = std::sqrt(std::max(0.0, d_owner));
       if (d_owner + margin <= lb2) {
@@ -131,9 +136,10 @@ void Assigner::PrunedScanIndex(const core::SbdEngine& engine, std::size_t i,
       }
     }
   } else {
-    d_owner = engine.Distance(queries_[owner], row);
+    d_owner = engine.Distance(queries_[owner], row, &owner_shift);
     ++comp;
   }
+  int best_shift = owner_shift;
   if (scanned) {
     // Full ascending-j scan with spectral early abandoning. The owner's
     // distance is computed up front (reused at j == owner), so the
@@ -145,12 +151,13 @@ void Assigner::PrunedScanIndex(const core::SbdEngine& engine, std::size_t i,
     for (int j = 0; j < k; ++j) {
       bool ab = false;
       double v;
+      int shift = owner_shift;
       if (j == owner) {
         v = d_owner;
       } else {
         v = engine.DistanceWithAbandon(
             queries_[j], row, min1 + core::SbdEngine::kDefaultBoundSlack,
-            &ab);
+            &ab, &shift);
         if (ab) {
           ++aband;
         } else {
@@ -161,6 +168,7 @@ void Assigner::PrunedScanIndex(const core::SbdEngine& engine, std::size_t i,
         min2 = min1;
         min1 = v;
         best = j;
+        best_shift = shift;
       } else if (v < min2) {
         // Abandoned candidates contribute their distance LOWER bound: min2
         // stays a valid lower bound on the true second-closest distance.
@@ -174,6 +182,7 @@ void Assigner::PrunedScanIndex(const core::SbdEngine& engine, std::size_t i,
     }
     if (distances != nullptr) (*distances)[i] = min1;
   }
+  if (shifts != nullptr) (*shifts)[i] = best_shift;
   cnt_computed_[i] = comp;
   cnt_pruned_[i] = pruned;
   cnt_abandoned_[i] = aband;
@@ -181,7 +190,8 @@ void Assigner::PrunedScanIndex(const core::SbdEngine& engine, std::size_t i,
 
 void Assigner::AssignBlock(const core::SbdEngine& engine, std::size_t base,
                            std::vector<int>* assignments,
-                           std::vector<double>* distances) {
+                           std::vector<double>* distances,
+                           std::vector<int>* shifts) {
   KSHAPE_CHECK(assignments != nullptr);
   const std::size_t rows = engine.size();
   const int k = options_.k;
@@ -190,6 +200,7 @@ void Assigner::AssignBlock(const core::SbdEngine& engine, std::size_t base,
   KSHAPE_CHECK_MSG(distances == nullptr || !options_.use_movement_bounds,
                    "a bounds-pruned series computes no distance; request "
                    "distances only from bound-free scans");
+  KSHAPE_CHECK(shifts == nullptr || shifts->size() == options_.num_series);
 
   if (!options_.use_pruning) {
     common::ParallelFor(0, rows, kScanGrain,
@@ -198,15 +209,19 @@ void Assigner::AssignBlock(const core::SbdEngine& engine, std::size_t base,
         const std::size_t i = base + r;
         double min_dist = std::numeric_limits<double>::infinity();
         int best = (*assignments)[i];
+        int best_shift = kNoShift;
         for (int j = 0; j < k; ++j) {
-          const double d = engine.Distance(queries_[j], r);
+          int shift;
+          const double d = engine.Distance(queries_[j], r, &shift);
           if (d < min_dist) {
             min_dist = d;
             best = j;
+            best_shift = shift;
           }
         }
         (*assignments)[i] = best;
         if (distances != nullptr) (*distances)[i] = min_dist;
+        if (shifts != nullptr) (*shifts)[i] = best_shift;
       }
     });
     stats_.computed += static_cast<long long>(rows) * k;
@@ -218,7 +233,7 @@ void Assigner::AssignBlock(const core::SbdEngine& engine, std::size_t base,
                       [&](std::size_t begin, std::size_t end) {
     for (std::size_t r = begin; r < end; ++r) {
       PrunedScanIndex(engine, base + r, r, use_bounds, assignments,
-                      distances);
+                      distances, shifts);
     }
   });
   // Telemetry reduced in ascending index order per block; blocks arrive in
@@ -263,9 +278,11 @@ void Assigner::AssignBlockWith(
 void Assigner::AssignSample(const core::SbdEngine& engine, std::size_t base,
                             const std::vector<std::size_t>& sample,
                             std::size_t pos, std::size_t stop,
-                            std::vector<int>* assignments) {
+                            std::vector<int>* assignments,
+                            std::vector<int>* shifts) {
   KSHAPE_CHECK(assignments != nullptr);
   KSHAPE_CHECK(!queries_.empty());
+  KSHAPE_CHECK(shifts == nullptr || shifts->size() == options_.num_series);
   const int k = options_.k;
   const bool pruning = options_.use_pruning;
   common::ParallelFor(pos, stop, kScanGrain,
@@ -277,18 +294,22 @@ void Assigner::AssignSample(const core::SbdEngine& engine, std::size_t base,
       long long comp = 0, aband = 0;
       double min1 = std::numeric_limits<double>::infinity();
       int best = owner;
+      int best_shift = kNoShift;
       if (pruning) {
-        const double d_owner = engine.Distance(queries_[owner], r);
+        int owner_shift;
+        const double d_owner =
+            engine.Distance(queries_[owner], r, &owner_shift);
         ++comp;
         for (int j = 0; j < k; ++j) {
           bool ab = false;
           double v;
+          int shift = owner_shift;
           if (j == owner) {
             v = d_owner;
           } else {
             v = engine.DistanceWithAbandon(
                 queries_[j], r, min1 + core::SbdEngine::kDefaultBoundSlack,
-                &ab);
+                &ab, &shift);
             if (ab) {
               ++aband;
             } else {
@@ -298,19 +319,23 @@ void Assigner::AssignSample(const core::SbdEngine& engine, std::size_t base,
           if (!ab && v < min1) {
             min1 = v;
             best = j;
+            best_shift = shift;
           }
         }
       } else {
         for (int j = 0; j < k; ++j) {
-          const double d = engine.Distance(queries_[j], r);
+          int shift;
+          const double d = engine.Distance(queries_[j], r, &shift);
           ++comp;
           if (d < min1) {
             min1 = d;
             best = j;
+            best_shift = shift;
           }
         }
       }
       (*assignments)[i] = best;
+      if (shifts != nullptr) (*shifts)[i] = best_shift;
       if (pruning) {
         cnt_computed_[i] = comp;
         cnt_pruned_[i] = 0;

@@ -11,7 +11,16 @@
 //   - The Assigner owns the per-iteration centroid queries (minted in
 //     BeginIteration), the movement-bound state (ub/lb/shift arrays), and the
 //     per-series telemetry cells. Callers own the centroids, the assignment
-//     vector, and the engines.
+//     vector, the optional distance and shift records, and the engines.
+//   - The shift record (`shifts`, optional on AssignBlock/AssignSample)
+//     holds, per scanned series, the winning NCC peak's shift against the
+//     query of the centroid it was assigned to — the lag shape extraction
+//     needs to align that member to the same centroid on the next
+//     refinement. A series whose owner distance was computed (a full scan,
+//     or the movement bounds' owner-only re-test) gets its shift; a series
+//     the bounds prune whole gets kNoShift; a series outside the scanned
+//     rows or sample is not written. The caller resets the record when its
+//     entries stop matching the centroids (sampled passes, repair).
 //   - Engines are passed per block: an in-memory run passes one engine
 //     with base 0, a sharded run passes each shard's engine with the
 //     shard's global base row. All engines of one clustering run must share
@@ -20,7 +29,10 @@
 //     queries valid against every block.
 //   - The iteration protocol is: SnapshotCentroids (before refinement) →
 //     BeginIteration (after refinement) → AssignBlock/AssignSample per block
-//     → read iteration_stats() → FinishIteration(reseeds). Blocks must be
+//     (optionally recording shifts) → read iteration_stats() →
+//     FinishIteration(reseeds). The shifts recorded in one iteration are
+//     read by the next refinement, against queries() — still this
+//     iteration's queries until the next BeginIteration. Blocks must be
 //     presented in ascending base order so the telemetry reduction matches
 //     the historical global-index-order sums bit for bit (integer sums, so
 //     this is about discipline, not rounding).
@@ -36,6 +48,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "core/sbd_engine.h"
@@ -82,6 +95,9 @@ struct AssignerOptions {
 
 class Assigner {
  public:
+  /// The shift-record sentinel: no shift is on record for the series.
+  static constexpr int kNoShift = std::numeric_limits<int>::min();
+
   explicit Assigner(const AssignerOptions& options);
 
   /// Records the pre-refinement centroids the movement bounds will measure
@@ -101,10 +117,14 @@ class Assigner {
   /// Parallel over rows with disjoint writes. `distances`, when non-null,
   /// receives the winning distance per global index (full scans only:
   /// rejected when movement bounds are on, since a bounds-pruned series
-  /// computes no distance at all).
+  /// computes no distance at all). `shifts`, when non-null (size
+  /// num_series), receives per global index the winning peak's shift, or
+  /// kNoShift for a series the movement bounds pruned whole. Null costs
+  /// nothing and changes neither labels nor telemetry.
   void AssignBlock(const core::SbdEngine& engine, std::size_t base,
                    std::vector<int>* assignments,
-                   std::vector<double>* distances = nullptr);
+                   std::vector<double>* distances = nullptr,
+                   std::vector<int>* shifts = nullptr);
 
   /// Engine-free variant for custom assignment distances: the plain
   /// exhaustive scan over global rows [base, base + rows) with
@@ -117,10 +137,12 @@ class Assigner {
   /// all of which must fall inside this engine's block. Movement bounds are
   /// never consulted or updated (sampled iterations violate their
   /// every-series-sees-every-update premise); the spectral abandon layer
-  /// still applies when pruning is on.
+  /// still applies when pruning is on. `shifts`, when non-null, receives
+  /// the winning shift of each sampled index and of no other.
   void AssignSample(const core::SbdEngine& engine, std::size_t base,
                     const std::vector<std::size_t>& sample, std::size_t pos,
-                    std::size_t stop, std::vector<int>* assignments);
+                    std::size_t stop, std::vector<int>* assignments,
+                    std::vector<int>* shifts = nullptr);
 
   /// Ends the iteration: the movement bounds stay valid only when the
   /// empty-cluster repair rewired nothing (repair moves assignments behind
@@ -131,7 +153,9 @@ class Assigner {
   /// order across the blocks presented so far.
   const AssignmentIterationStats& iteration_stats() const { return stats_; }
 
-  /// This iteration's centroid queries (for callers' repair scans).
+  /// This iteration's centroid queries (for callers' repair scans, and for
+  /// the refinement that follows: aligning a member with no shift on record
+  /// costs one MaxNcc against these).
   const std::vector<core::SbdEngine::Query>& queries() const {
     return queries_;
   }
@@ -155,7 +179,8 @@ class Assigner {
   void PrunedScanIndex(const core::SbdEngine& engine, std::size_t i,
                        std::size_t row, bool use_bounds,
                        std::vector<int>* assignments,
-                       std::vector<double>* distances);
+                       std::vector<double>* distances,
+                       std::vector<int>* shifts);
 
   AssignerOptions options_;
   std::vector<core::SbdEngine::Query> queries_;

@@ -1,11 +1,15 @@
 // Property-based sweeps over the distance-measure roster: identity,
 // symmetry, non-negativity for every measure; the triangle inequality for
-// the true metrics (ED, ERP, MSM, Minkowski); and z-normalization-induced
+// the true metrics (ED, ERP, MSM, Minkowski) and for sqrt(min(SBD, 1)), the
+// metric the movement bounds rely on; and z-normalization-induced
 // scale/translation invariance where the paper claims it (§2.2).
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +17,7 @@
 #include "common/parallel.h"
 #include "common/random.h"
 #include "core/sbd.h"
+#include "core/sbd_engine.h"
 #include "distance/dtw.h"
 #include "distance/elastic.h"
 #include "distance/euclidean.h"
@@ -152,6 +157,66 @@ TEST(SbdSpecificPropertyTest, AntiCorrelatedSeriesApproachTwo) {
   const core::SbdDistance sbd;
   EXPECT_GT(sbd.Distance(x, neg), 0.4);
   EXPECT_GT(sbd.Distance(x, neg), sbd.Distance(x, x) + 0.3);
+}
+
+// sqrt(min(SBD, 1)) is a metric (DESIGN.md, "Movement bounds"): with zero
+// padding to N >= 2m-1, 2·min(SBD(x, y), 1) = min over cyclic shifts g of
+// ‖x/‖x‖ − g·y/‖y‖‖², a quotient distance under a group of isometries. The
+// triangle inequality is checked over the cached engine's distances — the
+// ones the movement bounds consume — on power-of-two and Bluestein lengths
+// and both spectrum layouts. Each length mixes independent series, a
+// near-copy and a shifted near-copy of each (SBD near 0, where rounding
+// matters most) and negated copies (SBD above 1, where the cap matters).
+// The tolerance is the square root of a few ulps: an absolute rounding
+// error of a few ulps in an SBD near 0 becomes its square root after the
+// sqrt.
+TEST(SbdSpecificPropertyTest, SqrtOfCappedSbdIsAMetricOverEngineDistances) {
+  const double tol = std::sqrt(16.0 * std::numeric_limits<double>::epsilon());
+  for (const core::CrossCorrelationImpl impl :
+       {core::CrossCorrelationImpl::kFft,
+        core::CrossCorrelationImpl::kFftNoPow2}) {
+    for (const bool half : {true, false}) {
+      for (const std::size_t m : {5u, 16u, 23u, 64u}) {
+        common::Rng rng(100 + m);
+        std::vector<Series> series;
+        for (int base = 0; base < 6; ++base) {
+          const Series x = tseries::ZNormalized(RandomSeries(m, &rng));
+          Series near = x;
+          for (double& v : near) v += 1e-7 * rng.Gaussian();
+          Series shifted = tseries::ShiftWithZeroFill(x, 1 + base % 3);
+          for (double& v : shifted) v += 1e-3 * rng.Gaussian();
+          Series negated = x;
+          for (double& v : negated) v = -v;
+          series.push_back(x);
+          series.push_back(tseries::ZNormalized(near));
+          series.push_back(tseries::ZNormalized(shifted));
+          series.push_back(negated);
+        }
+        const core::SbdEngine engine(series, impl, half);
+        const std::size_t n = series.size();
+        std::vector<double> d(n * n);
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            d[i * n + j] =
+                std::sqrt(std::clamp(engine.Distance(i, j), 0.0, 1.0));
+          }
+        }
+        double worst = 0.0;
+        for (std::size_t a = 0; a < n; ++a) {
+          for (std::size_t b = 0; b < n; ++b) {
+            for (std::size_t c = 0; c < n; ++c) {
+              worst = std::max(
+                  worst, d[a * n + c] - d[a * n + b] - d[b * n + c]);
+            }
+          }
+        }
+        EXPECT_LE(worst, tol) << "m=" << m << " half=" << half
+                              << " bluestein="
+                              << (impl ==
+                                  core::CrossCorrelationImpl::kFftNoPow2);
+      }
+    }
+  }
 }
 
 // Randomized sweeps of SBD's metric-like properties as observed through the

@@ -17,7 +17,11 @@
 //  - the telemetry partition computed + pruned + abandoned == n*k holds for
 //    every assignment iteration, and the exact path reports the full n*k as
 //    computed;
-//  - the KSHAPE_PRUNE gate behaves as documented.
+//  - the KSHAPE_PRUNE gate behaves as documented;
+//  - the Assigner's shift record holds the owner's NCC peak shift for every
+//    row it computed an owner distance for, kNoShift for rows the bounds
+//    pruned whole, and nothing outside a sampled pass's sample — without
+//    changing labels or telemetry.
 
 #include <cmath>
 #include <cstddef>
@@ -34,6 +38,7 @@
 #include "data/generators.h"
 #include "fft/fft.h"
 #include "fft/rfft.h"
+#include "linalg/matrix.h"
 #include "model/assigner.h"
 #include "simd/dispatch.h"
 #include "tseries/normalization.h"
@@ -227,6 +232,154 @@ TEST(PruningTest, BoundPlanesOffByDefault) {
   EXPECT_EQ(r.abandoned, 0);
   EXPECT_EQ(r.computed, static_cast<long long>(engine.size()));
   EXPECT_EQ(r.index, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The Assigner's shift record (the lag refinement aligns members by).
+// ---------------------------------------------------------------------------
+
+// A value no scan writes, so untouched cells are told apart from kNoShift.
+constexpr int kUnwritten = 1 << 20;
+
+model::AssignerOptions ShiftTestOptions(const core::SbdEngine& engine, int k,
+                                        bool pruning, bool bounds) {
+  model::AssignerOptions options;
+  options.k = k;
+  options.num_series = engine.size();
+  options.m = engine.series_length();
+  options.fft_len = engine.fft_length();
+  options.use_half_spectrum = engine.half_spectrum();
+  options.use_pruning = pruning;
+  options.use_movement_bounds = bounds;
+  options.prune_margin = 1e-6;
+  return options;
+}
+
+void ExpectSameStats(const model::AssignmentIterationStats& a,
+                     const model::AssignmentIterationStats& b) {
+  EXPECT_EQ(a.computed, b.computed);
+  EXPECT_EQ(a.pruned_bounds, b.pruned_bounds);
+  EXPECT_EQ(a.abandoned_partial, b.abandoned_partial);
+}
+
+// Four full passes of a shift-recording Assigner beside a twin that records
+// nothing, with every centroid nudged between passes so the movement bounds
+// (when on) prune. Every row is written each pass: a row with a computed
+// owner distance holds engine.MaxNcc(queries()[label], row).shift, a row
+// the bounds pruned whole holds kNoShift and keeps its label. Labels and
+// telemetry match the twin exactly.
+void ExpectShiftRecordFaithful(bool pruning, bool bounds) {
+  GateGuard gate_guard;
+  core::SetPruningEnabledForTesting(pruning);
+  const int k = 6;
+  const std::vector<Series> series = MakeJitterSines(72, 64, k, 611);
+  const std::size_t n = series.size();
+  const core::SbdEngine engine(series, core::CrossCorrelationImpl::kFft,
+                               fft::HalfSpectrumEnabled(), pruning);
+  const model::AssignerOptions options =
+      ShiftTestOptions(engine, k, pruning, bounds);
+  model::Assigner recording(options);
+  model::Assigner plain(options);
+  std::vector<int> labels(n), plain_labels(n);
+  for (std::size_t i = 0; i < n; ++i) labels[i] = static_cast<int>(i % 4);
+  plain_labels = labels;
+  std::vector<Series> centroids(series.begin(), series.begin() + k);
+  long long pruned_whole = 0;
+  for (int pass = 0; pass < 4; ++pass) {
+    recording.SnapshotCentroids(centroids);
+    plain.SnapshotCentroids(centroids);
+    if (pass > 0) {
+      for (int j = 0; j < k; ++j) {
+        Series moved = centroids[j];
+        linalg::Axpy(0.05, series[j + k * pass], &moved);
+        centroids[j] = tseries::ZNormalized(moved);
+      }
+    }
+    recording.BeginIteration(centroids);
+    plain.BeginIteration(centroids);
+    const std::vector<int> before = labels;
+    std::vector<int> shifts(n, kUnwritten);
+    recording.AssignBlock(engine, 0, &labels, /*distances=*/nullptr, &shifts);
+    plain.AssignBlock(engine, 0, &plain_labels);
+    ASSERT_EQ(labels, plain_labels) << "pass " << pass;
+    ExpectSameStats(recording.iteration_stats(), plain.iteration_stats());
+
+    long long whole = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_NE(shifts[i], kUnwritten) << "row " << i;
+      if (shifts[i] == model::Assigner::kNoShift) {
+        ++whole;
+        EXPECT_EQ(labels[i], before[i]) << "row " << i;
+        continue;
+      }
+      EXPECT_EQ(shifts[i],
+                engine.MaxNcc(recording.queries()[labels[i]], i).shift)
+          << "pass " << pass << " row " << i;
+    }
+    EXPECT_LE(whole * k, recording.iteration_stats().pruned_bounds);
+    if (!bounds || pass == 0) {
+      EXPECT_EQ(whole, 0) << "pass " << pass;
+    }
+    pruned_whole += whole;
+    recording.FinishIteration(0);
+    plain.FinishIteration(0);
+  }
+  if (bounds) {
+    EXPECT_GT(pruned_whole, 0) << "the bounds never pruned a row";
+  }
+}
+
+TEST(PruningTest, ShiftRecordMatchesOwnerPeakWithMovementBounds) {
+  ExpectShiftRecordFaithful(/*pruning=*/true, /*bounds=*/true);
+}
+
+TEST(PruningTest, ShiftRecordMatchesOwnerPeakWithSpectralAbandonOnly) {
+  ExpectShiftRecordFaithful(/*pruning=*/true, /*bounds=*/false);
+}
+
+TEST(PruningTest, ShiftRecordMatchesOwnerPeakWithPruneGateOff) {
+  ExpectShiftRecordFaithful(/*pruning=*/false, /*bounds=*/false);
+}
+
+TEST(PruningTest, SampledPassRecordsShiftsOfTheSampleOnly) {
+  const int k = 5;
+  const std::vector<Series> series = MakeJitterSines(60, 48, k, 613);
+  const std::size_t n = series.size();
+  std::vector<std::size_t> sample;
+  for (std::size_t i = 1; i < n; i += 3) sample.push_back(i);
+  for (const bool pruning : {true, false}) {
+    GateGuard gate_guard;
+    core::SetPruningEnabledForTesting(pruning);
+    const core::SbdEngine engine(series, core::CrossCorrelationImpl::kFft,
+                                 fft::HalfSpectrumEnabled(), pruning);
+    const model::AssignerOptions options =
+        ShiftTestOptions(engine, k, pruning, /*bounds=*/false);
+    model::Assigner recording(options);
+    model::Assigner plain(options);
+    const std::vector<Series> centroids(series.begin() + k,
+                                        series.begin() + 2 * k);
+    recording.BeginIteration(centroids);
+    plain.BeginIteration(centroids);
+    std::vector<int> labels(n, 0), plain_labels(n, 0);
+    std::vector<int> shifts(n, kUnwritten);
+    recording.AssignSample(engine, 0, sample, 0, sample.size(), &labels,
+                           &shifts);
+    plain.AssignSample(engine, 0, sample, 0, sample.size(), &plain_labels);
+    EXPECT_EQ(labels, plain_labels);
+    ExpectSameStats(recording.iteration_stats(), plain.iteration_stats());
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (next < sample.size() && sample[next] == i) {
+        ++next;
+        EXPECT_EQ(shifts[i],
+                  engine.MaxNcc(recording.queries()[labels[i]], i).shift)
+            << "pruning=" << pruning << " row " << i;
+      } else {
+        EXPECT_EQ(shifts[i], kUnwritten)
+            << "pruning=" << pruning << " row " << i;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@
 // transforms each series separately, and the two round differently in the
 // last ulps. Exact-value conventions (zero diagonal, distance exactly 1 for
 // zero-norm inputs, bitwise matrix symmetry) ARE bitwise and are asserted
-// with operator==.
+// with operator==, and so are cached k-Shape centroids against the per-pair
+// run: extraction aligns members by integer NCC peak shifts, which the two
+// paths agree on.
 
 #include <cmath>
 #include <cstddef>
@@ -184,33 +186,54 @@ TEST(SbdCacheTest, BatchScannerMatchesDirectDistances) {
   }
 }
 
-TEST(SbdCacheTest, CachedKShapeMatchesUncachedAssignments) {
-  // Same seed, same data: the cached and per-pair runs see distances that
-  // differ only in the last ulps, which on this data never flips an argmin —
-  // so assignments, iteration count, and convergence all match.
-  const std::vector<Series> series = MakeSeries(45, 64, 9);
+// Runs k-Shape on the cached engine path and on the per-pair SbdDistance
+// path from the same seed. The two see distances that differ only in the
+// last ulps, which on these corpora never flips an argmin or an NCC peak
+// lag — so assignments, iterations, convergence and repairs all match, and
+// the centroids match bit for bit: both paths align each member by the same
+// integer shift (the cached one reads it off the assignment's peak, the
+// per-pair one recomputes it with Sbd()), and the aligned row depends on
+// that shift alone. Returns the cached run's reseed count.
+int ExpectCachedKShapeMatchesUncached(const std::vector<Series>& series,
+                                      int k, core::KShapeInit init,
+                                      uint64_t seed) {
   core::KShapeOptions cached_options;
-  cached_options.init = core::KShapeInit::kPlusPlusSeeding;
+  cached_options.init = init;
   const core::SbdDistance sbd;
   core::KShapeOptions uncached_options = cached_options;
   uncached_options.assignment_distance = &sbd;
   const core::KShape cached(cached_options);
   const core::KShape uncached(uncached_options);
 
-  common::Rng rng_a(10);
-  common::Rng rng_b(10);
-  const cluster::ClusteringResult a = cached.Cluster(series, 3, &rng_a);
-  const cluster::ClusteringResult b = uncached.Cluster(series, 3, &rng_b);
-  EXPECT_EQ(a.assignments, b.assignments);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.converged, b.converged);
-  ASSERT_EQ(a.centroids.size(), b.centroids.size());
-  for (std::size_t j = 0; j < a.centroids.size(); ++j) {
-    ASSERT_EQ(a.centroids[j].size(), b.centroids[j].size());
-    for (std::size_t t = 0; t < a.centroids[j].size(); ++t) {
-      EXPECT_NEAR(a.centroids[j][t], b.centroids[j][t], kEpsPow2);
-    }
+  common::Rng rng_a(seed);
+  common::Rng rng_b(seed);
+  const cluster::ClusteringResult a = cached.Cluster(series, k, &rng_a);
+  const cluster::ClusteringResult b = uncached.Cluster(series, k, &rng_b);
+  EXPECT_EQ(a.assignments, b.assignments) << "seed " << seed;
+  EXPECT_EQ(a.iterations, b.iterations) << "seed " << seed;
+  EXPECT_EQ(a.converged, b.converged) << "seed " << seed;
+  EXPECT_EQ(a.empty_cluster_reseeds, b.empty_cluster_reseeds)
+      << "seed " << seed;
+  EXPECT_EQ(a.centroids, b.centroids) << "seed " << seed;
+  return a.empty_cluster_reseeds;
+}
+
+TEST(SbdCacheTest, CachedKShapeMatchesUncachedAssignments) {
+  ExpectCachedKShapeMatchesUncached(MakeSeries(45, 64, 9), 3,
+                                    core::KShapeInit::kPlusPlusSeeding, 10);
+}
+
+TEST(SbdCacheTest, CachedKShapeMatchesUncachedThroughRepairs) {
+  // k close to n empties clusters under random assignment, so the repair
+  // path (which moves rows without a recorded shift) runs between
+  // refinements; the sweep must actually reseed, not pass vacuously.
+  int reseeds = 0;
+  for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    reseeds += ExpectCachedKShapeMatchesUncached(
+        MakeSeries(12, 31, 300 + seed), 8, core::KShapeInit::kRandomAssignment,
+        seed);
   }
+  EXPECT_GT(reseeds, 0);
 }
 
 TEST(SbdCacheTest, CachedOneNnMatchesUncachedMeasure) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -662,6 +663,103 @@ TEST(MatrixFreeExtractionTest, KShapeLabelParityAcrossGateSeedSweep) {
     EXPECT_GE(on.assignment_seconds, 0.0);
     EXPECT_GE(on.extraction_seconds, 0.0);
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Alignment by a given shift (ShapeAccumulator::Add(member, shift)) — the
+// path k-Shape refinement takes with the shift its assignment recorded.
+// ---------------------------------------------------------------------------
+
+// Feeds `members` to a fresh accumulator, each with its per-pair
+// Sbd(reference, member) shift when `with_shift`, after Reserve(size) when
+// `reserve`, and finishes with a fixed rng seed.
+ExtractedShape AccumulateWith(const std::vector<Series>& members,
+                              const Series& reference, bool with_shift,
+                              bool reserve,
+                              const ShapeExtractionOptions& options) {
+  ShapeAccumulator accumulator(reference, options);
+  if (reserve) accumulator.Reserve(members.size());
+  for (const Series& member : members) {
+    if (with_shift) {
+      accumulator.Add(member, Sbd(reference, member).shift);
+    } else {
+      accumulator.Add(member);
+    }
+  }
+  EXPECT_EQ(accumulator.members_added(), members.size());
+  common::Rng rng(131);
+  return accumulator.Finish(&rng, options);
+}
+
+TEST(ShiftedAddTest, GivenShiftMatchesPerPairAlignmentBitwise) {
+  // The aligned row depends only on the integer shift, so feeding the
+  // per-pair shift must reproduce Add(member) bit for bit — with or without
+  // a reserved pool, on the dense and the matrix-free solve.
+  const std::size_t m = 48;
+  std::vector<Series> members;
+  common::Rng corpus_rng(127);
+  for (int i = 0; i < 20; ++i) {
+    Series s = Sine(m, 2.0, 0.4 * (i % 7));
+    for (double& v : s) v += corpus_rng.Gaussian(0.0, 0.15);
+    members.push_back(tseries::ZNormalized(s));
+  }
+  members.insert(members.begin() + 5, Series(m, 0.0));  // Zero norm.
+  const Series reference = tseries::ZNormalized(Sine(m, 2.0, 1.1));
+  for (const bool matrix_free : {false, true}) {
+    ShapeExtractionOptions options;
+    options.matrix_free_min_members = matrix_free ? 1 : SIZE_MAX;
+    const ExtractedShape per_pair =
+        AccumulateWith(members, reference, false, false, options);
+    for (const bool reserve : {false, true}) {
+      const ExtractedShape shifted =
+          AccumulateWith(members, reference, true, reserve, options);
+      EXPECT_EQ(shifted.degenerate, per_pair.degenerate);
+      EXPECT_EQ(shifted.centroid, per_pair.centroid)
+          << "matrix_free=" << matrix_free << " reserve=" << reserve;
+    }
+  }
+}
+
+TEST(ShiftedAddTest, ZeroNormReferenceIgnoresTheShift) {
+  // Alignment is off against the all-zero reference, so any shift — even
+  // one outside (-m, m) — pools the member unshifted, as Add(member) does.
+  const std::size_t m = 32;
+  const std::vector<Series> members = NoisySineCorpus(12, m, 137);
+  const Series zero(m, 0.0);
+  for (const int shift : {0, 7, -(static_cast<int>(m) - 1),
+                          std::numeric_limits<int>::min()}) {
+    ShapeAccumulator shifted(zero);
+    shifted.Reserve(members.size());
+    ShapeAccumulator plain(zero);
+    for (const Series& member : members) {
+      shifted.Add(member, shift);
+      plain.Add(member);
+    }
+    common::Rng rng_a(139);
+    common::Rng rng_b(139);
+    EXPECT_FALSE(shifted.aligns());
+    EXPECT_EQ(shifted.Finish(&rng_a).centroid, plain.Finish(&rng_b).centroid)
+        << "shift=" << shift;
+  }
+}
+
+TEST(ShiftedAddTest, ZeroNormMembersAreCountedThenDropped) {
+  // A zero member stays zero under any shift: it is counted, contributes
+  // nothing, and a set of only such members is the flagged zero centroid.
+  const std::size_t m = 24;
+  const Series reference = tseries::ZNormalized(Sine(m, 1.0, 0.3));
+  ShapeAccumulator accumulator(reference);
+  accumulator.Reserve(3);
+  ASSERT_TRUE(accumulator.aligns());
+  accumulator.Add(Series(m, 0.0), 0);
+  accumulator.Add(Series(m, 0.0), -(static_cast<int>(m) - 1));
+  accumulator.Add(Series(m, 0.0), 5);
+  EXPECT_EQ(accumulator.members_added(), 3u);
+  common::Rng rng(149);
+  const ExtractedShape extracted = accumulator.Finish(&rng);
+  EXPECT_TRUE(extracted.degenerate);
+  EXPECT_EQ(extracted.centroid, Series(m, 0.0));
 }
 
 }  // namespace
