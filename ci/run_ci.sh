@@ -33,12 +33,12 @@
 #    shape_extraction_test, minibatch_kshape_test, fitted_model_test and
 #    kshape_test run under TSan. They cover the pool, the FFT/RFFT plan
 #    caches, the spectrum-cached SBD pipeline, the kernel dispatch cache, the
-#    pruned assignment scan and its gate atomics, the shard residency cache,
+#    assignment scan and its per-chunk counter sums, the shard residency cache,
 #    the sharded assignment fan-out, the matrix-free extraction matvec
 #    (RowPoolMatVec's disjoint partial blocks), Predict's parallel
 #    assignment over a frozen model, and the k-Shape shift record (cells
 #    written by the parallel assignment scan, read by the refinement on the
-#    coordinating thread).
+#    coordinating thread). TSAN_SUITES below is the one list of them.
 # 4. AddressSanitizer+UBSan build; the robustness suites (degenerate inputs,
 #    property sweeps over hostile data, conditioning) plus simd_kernels_test
 #    (unaligned loads, odd tails), rfft_test (packed-bin indexing),
@@ -48,7 +48,7 @@
 #    fitted_model_test (the .kmodel corruption matrix), and kshape_test and
 #    sbd_cache_test (members aligned by the assignment's recorded shift, so
 #    a stale or sentinel shift that reaches the row indexing is reported)
-#    run under ASan+UBSan.
+#    run under ASan+UBSan. ASAN_SUITES below is the one list of them.
 #
 # Usage: ci/run_ci.sh [build-dir-prefix]   (default: build-ci)
 
@@ -109,86 +109,40 @@ cmake --build "${NATIVE_DIR}" -j "${JOBS}"
 echo "==> tier1 tests under -march=native (kernel TU contract firewall)"
 (cd "${NATIVE_DIR}" && ctest -L tier1 --output-on-failure -j "${JOBS}")
 
+# Each sanitizer stage names its suites once: the same list is built and run.
+TSAN_SUITES=(parallel_test thread_pool_test sbd_cache_test rfft_test
+             simd_kernels_test pruning_test sharded_store_test
+             shape_extraction_test minibatch_kshape_test fitted_model_test
+             kshape_test)
+ASAN_SUITES=(degenerate_input_test robustness_properties_test tseries_test
+             rfft_test simd_kernels_test pruning_test sharded_store_test
+             shape_extraction_test minibatch_kshape_test fitted_model_test
+             kshape_test sbd_cache_test)
+
 echo "==> ThreadSanitizer build (${TSAN_DIR})"
 cmake -B "${TSAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DKSHAPE_SANITIZE=thread
-cmake --build "${TSAN_DIR}" -j "${JOBS}" \
-      --target parallel_test thread_pool_test sbd_cache_test rfft_test \
-               simd_kernels_test pruning_test sharded_store_test \
-               shape_extraction_test minibatch_kshape_test fitted_model_test \
-               kshape_test
+cmake --build "${TSAN_DIR}" -j "${JOBS}" --target "${TSAN_SUITES[@]}"
 
-echo "==> race check: the eleven threaded suites under TSan"
+echo "==> race check: the ${#TSAN_SUITES[@]} threaded suites under TSan"
 # Run the parallel paths at a thread count high enough to force real
 # interleaving even on small CI machines.
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/parallel_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/thread_pool_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/sbd_cache_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/rfft_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/simd_kernels_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/pruning_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/sharded_store_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/shape_extraction_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/minibatch_kshape_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/fitted_model_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/kshape_test"
+for suite in "${TSAN_SUITES[@]}"; do
+  echo "--> ${suite}"
+  KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" "${TSAN_DIR}/tests/${suite}"
+done
 
 echo "==> ASan+UBSan build (${ASAN_DIR})"
 cmake -B "${ASAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DKSHAPE_SANITIZE=address,undefined
-cmake --build "${ASAN_DIR}" -j "${JOBS}" \
-      --target degenerate_input_test robustness_properties_test tseries_test \
-               rfft_test simd_kernels_test pruning_test sharded_store_test \
-               shape_extraction_test minibatch_kshape_test fitted_model_test \
-               kshape_test sbd_cache_test
+cmake --build "${ASAN_DIR}" -j "${JOBS}" --target "${ASAN_SUITES[@]}"
 
-echo "==> hostile-input check: robustness suites under ASan+UBSan"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/degenerate_input_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/robustness_properties_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/tseries_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/rfft_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/simd_kernels_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/pruning_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/sharded_store_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/shape_extraction_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/minibatch_kshape_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/fitted_model_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/kshape_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/sbd_cache_test"
+echo "==> hostile-input check: the ${#ASAN_SUITES[@]} suites under ASan+UBSan"
+for suite in "${ASAN_SUITES[@]}"; do
+  echo "--> ${suite}"
+  ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+      "${ASAN_DIR}/tests/${suite}"
+done
 
 echo "==> CI OK"

@@ -169,33 +169,29 @@ cluster::ClusteringResult ClusterBlocks(const KShapeOptions& options,
   KSHAPE_CHECK_MSG(cached || !minibatch,
                    "mini-batch sampling needs the SBD spectrum cache");
   const std::size_t fft_len = cached ? fft::NextPowerOfTwo(2 * m - 1) : 0;
-  const bool half = cached && fft::HalfSpectrumEnabled();
-  // Pruning needs the engines' spectra, so it runs on the cached path only.
-  const bool pruning = cached && PruningEnabled();
-
-  cluster::ClusteringResult result;
-  result.assignments =
-      options.init == KShapeInit::kPlusPlusSeeding
-          ? PlusPlusSeeding(blocks, k, rng, fft_len, half)
-          : cluster::RandomAssignments(n, k, rng);
-  result.centroids.assign(k, tseries::Series(m, 0.0));
 
   // The one assignment implementation (movement bounds + spectral abandon +
-  // telemetry live in model::Assigner); blocks arrive in ascending base
-  // order, its reduction discipline. Movement bounds assume every series
-  // sees every centroid update, which sampled iterations violate, so they
-  // run only without mini-batching; the stateless spectral abandon layer
-  // runs whenever pruning is on.
+  // telemetry live in model::Assigner, which reads the layout and pruning
+  // gates once; pruning needs the engines' spectra, so engine-free runs
+  // never prune). Movement bounds assume every series sees every centroid
+  // update, which sampled iterations violate, so they run only without
+  // mini-batching; the stateless spectral abandon layer runs whenever
+  // pruning is on.
   model::AssignerOptions assigner_options;
   assigner_options.k = k;
   assigner_options.num_series = n;
   assigner_options.m = m;
   assigner_options.fft_len = fft_len;
-  assigner_options.use_half_spectrum = half;
-  assigner_options.use_pruning = pruning;
-  assigner_options.use_movement_bounds = pruning && !minibatch;
+  assigner_options.use_movement_bounds = !minibatch;
   assigner_options.prune_margin = options.prune_margin;
   model::Assigner assigner(assigner_options);
+
+  cluster::ClusteringResult result;
+  result.assignments =
+      options.init == KShapeInit::kPlusPlusSeeding
+          ? PlusPlusSeeding(blocks, k, rng, fft_len, assigner.half_spectrum())
+          : cluster::RandomAssignments(n, k, rng);
+  result.centroids.assign(k, tseries::Series(m, 0.0));
 
   // Distance from centroid j to the global row r of `block`.
   const auto block_distance = [&](const SeriesBlock& block, int j,

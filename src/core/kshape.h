@@ -58,8 +58,11 @@ struct KShapeOptions {
   ///     upper bounds (distance to owner) and lower bounds (second-closest);
   ///     a series whose bounds stay separated keeps its label with zero
   ///     distance calls. sqrt(min(SBD, 1)) is a metric (DESIGN.md,
-  ///     "Movement bounds"), so the triangle inequality these updates rely
-  ///     on holds up to rounding, which this margin guards.
+  ///     "Movement bounds"), and every centroid has zero mean
+  ///     (z-normalized, or all-zero), so SBD(x, c) <= 1 for any series x
+  ///     and the bounds' uncapped sqrt(SBD) never passes the cap. The
+  ///     triangle inequality these updates rely on therefore holds up to
+  ///     rounding, which this margin guards.
   ///  2. Spectral early-abandon NCC — candidates whose partial-sum NCC upper
   ///     bound (SbdEngine::DistanceWithAbandon) cannot beat the best-so-far
   ///     are dropped without an inverse transform. This layer is rigorous

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <functional>
 #include <string>
 
 #include "common/check.h"
@@ -10,6 +10,7 @@
 #include "cluster/algorithm.h"
 #include "fft/fft.h"
 #include "linalg/matrix.h"
+#include "model/assigner.h"
 #include "tseries/normalization.h"
 
 namespace kshape::core {
@@ -203,9 +204,16 @@ MultivariateClusteringResult MultivariateKShape::Cluster(
   });
   std::vector<ChannelSpectra> centroid_cache;
 
-  auto assignment_distance = [&](int j, std::size_t i) {
-    return CachedMsbdDistance(centroid_cache[j], series_cache[i], m);
-  };
+  const std::function<double(int, std::size_t)> assignment_distance =
+      [&](int j, std::size_t i) {
+        return CachedMsbdDistance(centroid_cache[j], series_cache[i], m);
+      };
+  // Engine-free (fft_len = 0): no queries, no pruning, no shift record.
+  model::AssignerOptions assigner_options;
+  assigner_options.k = k;
+  assigner_options.num_series = n;
+  assigner_options.m = m;
+  model::Assigner assigner(assigner_options);
 
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
     const std::vector<int> previous = result.assignments;
@@ -226,22 +234,8 @@ MultivariateClusteringResult MultivariateKShape::Cluster(
       centroid_cache.push_back(MakeChannelSpectra(result.centroids[j], fft_len));
     }
 
-    // Assignment. Same disjoint-write pattern as univariate k-Shape, so the
-    // result is thread-count-invariant.
-    common::ParallelFor(0, n, 16, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        double min_dist = std::numeric_limits<double>::infinity();
-        int best = result.assignments[i];
-        for (int j = 0; j < k; ++j) {
-          const double dist = assignment_distance(j, i);
-          if (dist < min_dist) {
-            min_dist = dist;
-            best = j;
-          }
-        }
-        result.assignments[i] = best;
-      }
-    });
+    // Assignment: the univariate scan over the cached mSBD, engine-free.
+    assigner.AssignBlockWith(assignment_distance, 0, n, &result.assignments);
 
     // Re-seed empty clusters from the farthest member of populated ones
     // (shared policy — see RepairEmptyClusters for the tie-break contract).

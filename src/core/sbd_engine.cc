@@ -340,11 +340,12 @@ double SbdEngine::DistanceWithAbandon(const Query& q, std::size_t i,
                                       double cutoff, bool* abandoned,
                                       int* shift) const {
   KSHAPE_CHECK(i < size());
-  KSHAPE_CHECK_MSG(has_bound_planes() && !q.mag.empty(),
-                   "spectral bound requires bound planes on engine and query");
+  KSHAPE_CHECK_MSG(has_bound_planes() == !q.mag.empty(),
+                   "bound planes on only one of engine and query");
   *abandoned = false;
   const double den = q.norm * norms_[i];
-  if (den == 0.0) return Distance(q, i, shift);  // Exactly 1, no bound.
+  // No planes: the exact distance. Zero norm: exactly 1, no bound.
+  if (!has_bound_planes() || den == 0.0) return Distance(q, i, shift);
   // SBD > cutoff  ⟺  peak NCC < 1 - cutoff  ⟸  Σ w|Q||X| < (1-cutoff)·N·den.
   const double n_den = static_cast<double>(fft_len_) * den;
   const double threshold = (1.0 - cutoff) * n_den;

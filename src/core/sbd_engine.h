@@ -186,7 +186,9 @@ class SbdEngine {
   /// (> cutoff) with *abandoned = true — no inverse transform spent.
   /// Otherwise returns the exact Distance(q, i, shift) with *abandoned =
   /// false; `shift`, when non-null, is written only then. cutoff = +infinity
-  /// never abandons. Requires bound planes.
+  /// never abandons. Without bound planes on either side it is exactly
+  /// Distance(q, i, shift) and never abandons, so "no pruning" is "no
+  /// planes"; planes on only one side abort.
   double DistanceWithAbandon(const Query& q, std::size_t i, double cutoff,
                              bool* abandoned, int* shift = nullptr) const;
 

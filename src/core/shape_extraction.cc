@@ -46,22 +46,6 @@ void CenterGramInPlace(linalg::Matrix* s_ptr) {
   }
 }
 
-ExtractedShape ExtractShapeImpl(
-    const std::vector<tseries::SeriesView>& members,
-    tseries::SeriesView reference, common::Rng* rng,
-    const ShapeExtractionOptions& options) {
-  KSHAPE_CHECK(rng != nullptr);
-  if (members.empty()) {
-    ExtractedShape result;
-    result.centroid = tseries::Series(reference.size(), 0.0);
-    result.degenerate = true;
-    return result;
-  }
-  ShapeAccumulator accumulator(reference, options);
-  for (tseries::SeriesView member : members) accumulator.Add(member);
-  return accumulator.Finish(rng, options);
-}
-
 }  // namespace
 
 ShapeAccumulator::ShapeAccumulator(tseries::SeriesView reference,
@@ -227,10 +211,16 @@ ExtractedShape ExtractShapeFlagged(const tseries::SeriesBatch& members,
                                    tseries::SeriesView reference,
                                    common::Rng* rng,
                                    const ShapeExtractionOptions& options) {
-  std::vector<tseries::SeriesView> views;
-  views.reserve(members.size());
-  for (std::size_t i = 0; i < members.size(); ++i) views.push_back(members[i]);
-  return ExtractShapeImpl(views, reference, rng, options);
+  KSHAPE_CHECK(rng != nullptr);
+  if (members.empty()) {
+    ExtractedShape result;
+    result.centroid = tseries::Series(reference.size(), 0.0);
+    result.degenerate = true;
+    return result;
+  }
+  ShapeAccumulator accumulator(reference, options);
+  for (std::size_t i = 0; i < members.size(); ++i) accumulator.Add(members[i]);
+  return accumulator.Finish(rng, options);
 }
 
 }  // namespace kshape::core

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <mutex>
 
 #include "common/check.h"
 #include "common/parallel.h"
 #include "core/sbd.h"
+#include "fft/rfft.h"
 
 namespace kshape::model {
 
@@ -14,33 +16,79 @@ namespace {
 
 // Same grain as the historical assignment/seeding scans: the per-index work
 // dwarfs chunk claiming at 16. Chunking does not affect results (disjoint
-// writes of pure per-index values), so per-block chunks and global chunks
-// land on the same bits.
+// writes of pure per-index values, integer counter sums), so per-block
+// chunks and global chunks land on the same bits.
 constexpr std::size_t kScanGrain = 16;
+
+// The scan body's view of an SbdEngine block: the exact distance with its
+// winning shift, and the spectral early abandon (the exact distance again
+// when the engine and queries carry no bound planes).
+struct EngineDistance {
+  const core::SbdEngine& engine;
+  const std::vector<core::SbdEngine::Query>& queries;
+
+  double Exact(int j, std::size_t row, int* shift) const {
+    return engine.Distance(queries[j], row, shift);
+  }
+  double WithAbandon(int j, std::size_t row, double cutoff, bool* abandoned,
+                     int* shift) const {
+    return engine.DistanceWithAbandon(queries[j], row, cutoff, abandoned,
+                                      shift);
+  }
+};
+
+// The scan body's view of a caller distance over global rows base + row: it
+// never abandons and records no shift.
+struct CallbackDistance {
+  const std::function<double(int, std::size_t)>& dist;
+  std::size_t base;
+
+  double Exact(int j, std::size_t row, int* /*shift*/) const {
+    return dist(j, base + row);
+  }
+  double WithAbandon(int j, std::size_t row, double /*cutoff*/,
+                     bool* abandoned, int* /*shift*/) const {
+    *abandoned = false;
+    return dist(j, base + row);
+  }
+};
+
+// Runs scan(t, &chunk_counts) for t in [begin, end) on the pool and adds
+// each chunk's counts to `totals` once. The counters are integers, so the
+// totals are exact in any chunk order.
+template <typename Scan>
+void ScanChunks(std::size_t begin, std::size_t end, const Scan& scan,
+                AssignmentIterationStats* totals) {
+  std::mutex totals_mu;  // Guards *totals while the chunks run.
+  common::ParallelFor(begin, end, kScanGrain,
+                      [&](std::size_t chunk_begin, std::size_t chunk_end) {
+    AssignmentIterationStats counts;
+    for (std::size_t t = chunk_begin; t < chunk_end; ++t) scan(t, &counts);
+    const std::lock_guard<std::mutex> lock(totals_mu);
+    totals->computed += counts.computed;
+    totals->pruned_bounds += counts.pruned_bounds;
+    totals->abandoned_partial += counts.abandoned_partial;
+  });
+}
 
 }  // namespace
 
-Assigner::Assigner(const AssignerOptions& options) : options_(options) {
+Assigner::Assigner(const AssignerOptions& options)
+    : options_(options),
+      half_(fft::HalfSpectrumEnabled()),
+      pruning_(options.fft_len > 0 && core::PruningEnabled()),
+      bounds_(options.use_movement_bounds && pruning_) {
   KSHAPE_CHECK(options_.k >= 1);
   KSHAPE_CHECK(options_.num_series >= 1);
-  KSHAPE_CHECK_MSG(!options_.use_movement_bounds || options_.use_pruning,
-                   "movement bounds ride on the pruning layer");
-  const std::size_t n = options_.num_series;
-  const int k = options_.k;
-  if (options_.use_pruning) {
-    cnt_computed_.assign(n, 0);
-    cnt_pruned_.assign(n, 0);
-    cnt_abandoned_.assign(n, 0);
-  }
-  if (options_.use_movement_bounds) {
-    ub_r_.assign(n, 0.0);
-    lb_r_.assign(n, 0.0);
-    shift_r_.assign(k, 0.0);
+  if (bounds_) {
+    ub_r_.assign(options_.num_series, 0.0);
+    lb_r_.assign(options_.num_series, 0.0);
+    shift_r_.assign(options_.k, 0.0);
   }
 }
 
 void Assigner::SnapshotCentroids(const tseries::SeriesBatch& centroids) {
-  if (options_.use_movement_bounds && bounds_valid_) {
+  if (bounds_ && bounds_valid_) {
     prev_centroids_.clear();
     for (std::size_t j = 0; j < centroids.size(); ++j) {
       const tseries::SeriesView row = centroids[j];
@@ -60,9 +108,8 @@ void Assigner::BeginIteration(const tseries::SeriesBatch& centroids) {
     queries_.clear();
     for (int j = 0; j < options_.k; ++j) {
       queries_.push_back(core::SbdEngine::MakeQueryFor(
-          centroids[j], options_.m, options_.fft_len,
-          options_.use_half_spectrum,
-          /*build_bound_planes=*/options_.use_pruning));
+          centroids[j], options_.m, options_.fft_len, half_,
+          /*build_bound_planes=*/pruning_));
     }
   }
 
@@ -92,11 +139,12 @@ void Assigner::BeginIteration(const tseries::SeriesBatch& centroids) {
   }
 }
 
-void Assigner::PrunedScanIndex(const core::SbdEngine& engine, std::size_t i,
-                               std::size_t row, bool use_bounds,
-                               std::vector<int>* assignments,
-                               std::vector<double>* distances,
-                               std::vector<int>* shifts) {
+template <typename Dist>
+void Assigner::ScanIndex(const Dist& dist, std::size_t i, std::size_t row,
+                         bool bounds, std::vector<int>* assignments,
+                         std::vector<double>* distances,
+                         std::vector<int>* shifts,
+                         AssignmentIterationStats* counts) {
   const int k = options_.k;
   const double margin = options_.prune_margin;
   const int owner = (*assignments)[i];
@@ -104,12 +152,15 @@ void Assigner::PrunedScanIndex(const core::SbdEngine& engine, std::size_t i,
   bool scanned = true;
   double d_owner = 0.0;
   int owner_shift = kNoShift;
-  if (use_bounds) {
+  if (bounds && use_bounds_iter_) {
     // Apply this iteration's centroid movement to the bounds. Bounds live in
     // the sqrt(SBD) domain, where sqrt(min(SBD, 1)) is a metric (DESIGN.md,
-    // "Movement bounds"), so the triangle inequality the movement updates
-    // rely on holds exactly in real arithmetic while lb_r stays at or
-    // below 1:
+    // "Movement bounds"). Every centroid has zero mean (z-normalized, or
+    // all-zero), so SBD(x, c) <= 1 for any series x: the sum of the
+    // cross-correlation over all lags is (Σx)(Σc) = 0, so its peak is at
+    // least 0. The lower bounds therefore never pass the cap, and the
+    // triangle inequality the movement updates rely on holds exactly in
+    // real arithmetic:
     //   ub_r[i] >= sqrt(d(i, centroid of a_i))     (upper, owner distance)
     //   lb_r[i] <= sqrt(min_{j != a_i} d(i, c_j))  (lower, second-closest)
     // Comparisons happen back in SBD units with the prune_margin slack,
@@ -127,7 +178,7 @@ void Assigner::PrunedScanIndex(const core::SbdEngine& engine, std::size_t i,
     } else {
       // Tighten the upper bound with the exact owner distance, then re-test
       // (Hamerly's second check).
-      d_owner = engine.Distance(queries_[owner], row, &owner_shift);
+      d_owner = dist.Exact(owner, row, &owner_shift);
       ++comp;
       ub_r_[i] = std::sqrt(std::max(0.0, d_owner));
       if (d_owner + margin <= lb2) {
@@ -136,15 +187,16 @@ void Assigner::PrunedScanIndex(const core::SbdEngine& engine, std::size_t i,
       }
     }
   } else {
-    d_owner = engine.Distance(queries_[owner], row, &owner_shift);
+    d_owner = dist.Exact(owner, row, &owner_shift);
     ++comp;
   }
   int best_shift = owner_shift;
   if (scanned) {
-    // Full ascending-j scan with spectral early abandoning. The owner's
+    // Ascending-j argmin with spectral early abandoning. The owner's
     // distance is computed up front (reused at j == owner), so the
-    // comparison sequence over computed distances is the one the exact scan
-    // walks — identical labels and tie-breaks.
+    // comparison sequence over computed distances is the one an exhaustive
+    // scan walks — identical labels and tie-breaks. Without bound planes
+    // nothing abandons and this is that exhaustive scan.
     double min1 = std::numeric_limits<double>::infinity();
     double min2 = std::numeric_limits<double>::infinity();
     int best = owner;
@@ -155,9 +207,9 @@ void Assigner::PrunedScanIndex(const core::SbdEngine& engine, std::size_t i,
       if (j == owner) {
         v = d_owner;
       } else {
-        v = engine.DistanceWithAbandon(
-            queries_[j], row, min1 + core::SbdEngine::kDefaultBoundSlack,
-            &ab, &shift);
+        v = dist.WithAbandon(j, row,
+                             min1 + core::SbdEngine::kDefaultBoundSlack, &ab,
+                             &shift);
         if (ab) {
           ++aband;
         } else {
@@ -176,16 +228,16 @@ void Assigner::PrunedScanIndex(const core::SbdEngine& engine, std::size_t i,
       }
     }
     (*assignments)[i] = best;
-    if (options_.use_movement_bounds) {
+    if (bounds) {
       ub_r_[i] = std::sqrt(std::max(0.0, min1));
       lb_r_[i] = std::sqrt(std::max(0.0, min2));
     }
     if (distances != nullptr) (*distances)[i] = min1;
   }
   if (shifts != nullptr) (*shifts)[i] = best_shift;
-  cnt_computed_[i] = comp;
-  cnt_pruned_[i] = pruned;
-  cnt_abandoned_[i] = aband;
+  counts->computed += comp;
+  counts->pruned_bounds += pruned;
+  counts->abandoned_partial += aband;
 }
 
 void Assigner::AssignBlock(const core::SbdEngine& engine, std::size_t base,
@@ -193,58 +245,18 @@ void Assigner::AssignBlock(const core::SbdEngine& engine, std::size_t base,
                            std::vector<double>* distances,
                            std::vector<int>* shifts) {
   KSHAPE_CHECK(assignments != nullptr);
-  const std::size_t rows = engine.size();
-  const int k = options_.k;
-  KSHAPE_CHECK(base + rows <= options_.num_series);
+  KSHAPE_CHECK(base + engine.size() <= options_.num_series);
   KSHAPE_CHECK(!queries_.empty());
-  KSHAPE_CHECK_MSG(distances == nullptr || !options_.use_movement_bounds,
+  KSHAPE_CHECK_MSG(distances == nullptr || !bounds_,
                    "a bounds-pruned series computes no distance; request "
                    "distances only from bound-free scans");
   KSHAPE_CHECK(shifts == nullptr || shifts->size() == options_.num_series);
-
-  if (!options_.use_pruning) {
-    common::ParallelFor(0, rows, kScanGrain,
-                        [&](std::size_t begin, std::size_t end) {
-      for (std::size_t r = begin; r < end; ++r) {
-        const std::size_t i = base + r;
-        double min_dist = std::numeric_limits<double>::infinity();
-        int best = (*assignments)[i];
-        int best_shift = kNoShift;
-        for (int j = 0; j < k; ++j) {
-          int shift;
-          const double d = engine.Distance(queries_[j], r, &shift);
-          if (d < min_dist) {
-            min_dist = d;
-            best = j;
-            best_shift = shift;
-          }
-        }
-        (*assignments)[i] = best;
-        if (distances != nullptr) (*distances)[i] = min_dist;
-        if (shifts != nullptr) (*shifts)[i] = best_shift;
-      }
-    });
-    stats_.computed += static_cast<long long>(rows) * k;
-    return;
-  }
-
-  const bool use_bounds = use_bounds_iter_;
-  common::ParallelFor(0, rows, kScanGrain,
-                      [&](std::size_t begin, std::size_t end) {
-    for (std::size_t r = begin; r < end; ++r) {
-      PrunedScanIndex(engine, base + r, r, use_bounds, assignments,
-                      distances, shifts);
-    }
-  });
-  // Telemetry reduced in ascending index order per block; blocks arrive in
-  // ascending base order, so the run-level sums match the historical
-  // global-index-order reduction.
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::size_t i = base + r;
-    stats_.computed += cnt_computed_[i];
-    stats_.pruned_bounds += cnt_pruned_[i];
-    stats_.abandoned_partial += cnt_abandoned_[i];
-  }
+  const EngineDistance dist{engine, queries_};
+  ScanChunks(0, engine.size(),
+             [&](std::size_t r, AssignmentIterationStats* counts) {
+    ScanIndex(dist, base + r, r, bounds_, assignments, distances, shifts,
+              counts);
+  }, &stats_);
 }
 
 void Assigner::AssignBlockWith(
@@ -252,27 +264,14 @@ void Assigner::AssignBlockWith(
     std::size_t rows, std::vector<int>* assignments) {
   KSHAPE_CHECK(assignments != nullptr);
   KSHAPE_CHECK(base + rows <= options_.num_series);
-  KSHAPE_CHECK_MSG(!options_.use_pruning,
+  KSHAPE_CHECK_MSG(!pruning_,
                    "pruning needs engine spectra; the callback path is the "
                    "exhaustive scan");
-  const int k = options_.k;
-  common::ParallelFor(0, rows, kScanGrain,
-                      [&](std::size_t begin, std::size_t end) {
-    for (std::size_t r = begin; r < end; ++r) {
-      const std::size_t i = base + r;
-      double min_dist = std::numeric_limits<double>::infinity();
-      int best = (*assignments)[i];
-      for (int j = 0; j < k; ++j) {
-        const double d = dist(j, i);
-        if (d < min_dist) {
-          min_dist = d;
-          best = j;
-        }
-      }
-      (*assignments)[i] = best;
-    }
-  });
-  stats_.computed += static_cast<long long>(rows) * k;
+  const CallbackDistance callback{dist, base};
+  ScanChunks(0, rows, [&](std::size_t r, AssignmentIterationStats* counts) {
+    ScanIndex(callback, base + r, r, /*bounds=*/false, assignments,
+              /*distances=*/nullptr, /*shifts=*/nullptr, counts);
+  }, &stats_);
 }
 
 void Assigner::AssignSample(const core::SbdEngine& engine, std::size_t base,
@@ -283,79 +282,17 @@ void Assigner::AssignSample(const core::SbdEngine& engine, std::size_t base,
   KSHAPE_CHECK(assignments != nullptr);
   KSHAPE_CHECK(!queries_.empty());
   KSHAPE_CHECK(shifts == nullptr || shifts->size() == options_.num_series);
-  const int k = options_.k;
-  const bool pruning = options_.use_pruning;
-  common::ParallelFor(pos, stop, kScanGrain,
-                      [&](std::size_t begin, std::size_t end) {
-    for (std::size_t t = begin; t < end; ++t) {
-      const std::size_t i = sample[t];
-      const std::size_t r = i - base;
-      const int owner = (*assignments)[i];
-      long long comp = 0, aband = 0;
-      double min1 = std::numeric_limits<double>::infinity();
-      int best = owner;
-      int best_shift = kNoShift;
-      if (pruning) {
-        int owner_shift;
-        const double d_owner =
-            engine.Distance(queries_[owner], r, &owner_shift);
-        ++comp;
-        for (int j = 0; j < k; ++j) {
-          bool ab = false;
-          double v;
-          int shift = owner_shift;
-          if (j == owner) {
-            v = d_owner;
-          } else {
-            v = engine.DistanceWithAbandon(
-                queries_[j], r, min1 + core::SbdEngine::kDefaultBoundSlack,
-                &ab, &shift);
-            if (ab) {
-              ++aband;
-            } else {
-              ++comp;
-            }
-          }
-          if (!ab && v < min1) {
-            min1 = v;
-            best = j;
-            best_shift = shift;
-          }
-        }
-      } else {
-        for (int j = 0; j < k; ++j) {
-          int shift;
-          const double d = engine.Distance(queries_[j], r, &shift);
-          ++comp;
-          if (d < min1) {
-            min1 = d;
-            best = j;
-            best_shift = shift;
-          }
-        }
-      }
-      (*assignments)[i] = best;
-      if (shifts != nullptr) (*shifts)[i] = best_shift;
-      if (pruning) {
-        cnt_computed_[i] = comp;
-        cnt_pruned_[i] = 0;
-        cnt_abandoned_[i] = aband;
-      }
-    }
-  });
-  if (pruning) {
-    for (std::size_t t = pos; t < stop; ++t) {
-      const std::size_t i = sample[t];
-      stats_.computed += cnt_computed_[i];
-      stats_.abandoned_partial += cnt_abandoned_[i];
-    }
-  } else {
-    stats_.computed += static_cast<long long>(stop - pos) * k;
-  }
+  const EngineDistance dist{engine, queries_};
+  ScanChunks(pos, stop,
+             [&](std::size_t t, AssignmentIterationStats* counts) {
+    const std::size_t i = sample[t];
+    ScanIndex(dist, i, i - base, /*bounds=*/false, assignments,
+              /*distances=*/nullptr, shifts, counts);
+  }, &stats_);
 }
 
 void Assigner::FinishIteration(int reseeds) {
-  if (options_.use_movement_bounds) {
+  if (bounds_) {
     // Repair rewires assignments without touching the bounds; a full rebuild
     // next iteration is the only safe continuation.
     bounds_valid_ = reseeds == 0;
@@ -369,22 +306,11 @@ NearestResult Assigner::NearestSeries(const core::SbdEngine& engine,
   const std::size_t n = engine.size();
   KSHAPE_CHECK(n >= 1);
   double best = std::numeric_limits<double>::infinity();
-  if (!engine.has_bound_planes() || q.mag.empty()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = engine.Distance(q, i);
-      ++r.computed;
-      if (d < best) {
-        best = d;
-        r.index = i;
-      }
-    }
-    r.distance = best;
-    return r;
-  }
   // Ascending scan with a strict-less update — the identical tie-break to
   // DistanceToAll + first-strict-minimum. A candidate abandons only when its
   // distance lower bound exceeds best + bound_slack, i.e. it provably loses
   // even the tie-break, so early abandoning cannot change the result.
+  // Without bound planes nothing abandons: the plain exhaustive scan.
   for (std::size_t i = 0; i < n; ++i) {
     bool ab = false;
     const double d = engine.DistanceWithAbandon(q, i, best + bound_slack, &ab);

@@ -1,17 +1,35 @@
 // The assign-series-to-centroids step, extracted into one implementation.
 //
 // Its callers: the k-Shape iteration driver (core::ClusterBlocks, for
-// in-memory and sharded runs alike), batch and online scoring
+// in-memory and sharded runs alike), multivariate k-Shape
+// (core/multivariate.cc, engine-free), batch and online scoring
 // (model/fitted_model.h), and the classify-against-candidates path behind
 // the SBD BatchScanner (src/core/sbd.cc). The pruning layers — spectral
 // early-abandon NCC and the Hamerly-style movement bounds — and the
 // telemetry partition are defined exactly once.
 //
+// One scan body serves every entry point: per series, the owner's distance
+// first, then the ascending-j argmin with spectral early abandoning, behind
+// the movement bounds when they are on. AssignBlock and AssignSample reach it
+// through the block's SbdEngine; AssignBlockWith through a caller distance
+// that never abandons and records no shift.
+//
+// Gates: the Assigner reads KSHAPE_HALF_SPECTRUM and KSHAPE_PRUNE once, at
+// construction (pruning is off when fft_len == 0), and exposes them through
+// half_spectrum() / pruning() so the caller builds engines to match. Pruning
+// off means no bound planes, and SbdEngine::DistanceWithAbandon without
+// planes is the exact distance and never abandons, so the same body is the
+// exhaustive scan: same comparison sequence, same computed pairs. The
+// retired AssignerOptions::use_half_spectrum and use_pruning are these two
+// gate reads.
+//
 // Ownership rules:
 //   - The Assigner owns the per-iteration centroid queries (minted in
-//     BeginIteration), the movement-bound state (ub/lb/shift arrays), and the
-//     per-series telemetry cells. Callers own the centroids, the assignment
-//     vector, the optional distance and shift records, and the engines.
+//     BeginIteration) and the movement-bound state (ub/lb/shift arrays).
+//     Telemetry is summed per scan chunk and added to the iteration totals
+//     once per chunk; no per-series cells exist. Callers own the centroids,
+//     the assignment vector, the optional distance and shift records, and
+//     the engines.
 //   - The shift record (`shifts`, optional on AssignBlock/AssignSample)
 //     holds, per scanned series, the winning NCC peak's shift against the
 //     query of the centroid it was assigned to — the lag shape extraction
@@ -32,16 +50,15 @@
 //     (optionally recording shifts) → read iteration_stats() →
 //     FinishIteration(reseeds). The shifts recorded in one iteration are
 //     read by the next refinement, against queries() — still this
-//     iteration's queries until the next BeginIteration. Blocks must be
-//     presented in ascending base order so the telemetry reduction matches
-//     the historical global-index-order sums bit for bit (integer sums, so
-//     this is about discipline, not rounding).
+//     iteration's queries until the next BeginIteration. The engine-free
+//     AssignBlockWith needs no queries; without BeginIteration its counters
+//     keep adding up.
 //
-// Determinism: each parallel worker writes only its own assignments[i],
-// bound cells, and telemetry cells; comparison sequences are ascending in
-// the centroid index with strict-less updates. Results are bit-identical
-// across thread counts, SIMD backends, spectrum layouts (labels), and prune
-// gates (labels).
+// Determinism: each parallel worker writes only its own assignments[i] and
+// bound cells; comparison sequences are ascending in the centroid index with
+// strict-less updates. The telemetry counters are integers, so their totals
+// are exact in any chunk order. Results are bit-identical across thread
+// counts, SIMD backends, spectrum layouts (labels), and prune gates (labels).
 
 #ifndef KSHAPE_MODEL_ASSIGNER_H_
 #define KSHAPE_MODEL_ASSIGNER_H_
@@ -77,18 +94,15 @@ struct NearestResult {
 
 struct AssignerOptions {
   int k = 0;                // number of centroids
-  std::size_t num_series = 0;  // n: sizes the bound/telemetry cells
+  std::size_t num_series = 0;  // n: sizes the movement-bound cells
   std::size_t m = 0;        // series length
   // Padded transform length of the engines this run uses; 0 for engine-free
-  // runs (custom assignment distances), which skip query minting entirely.
+  // runs (custom assignment distances), which skip query minting and prune
+  // nothing.
   std::size_t fft_len = 0;
-  bool use_half_spectrum = false;  // layout the queries are minted in
-  // Spectral early-abandon NCC (stateless, exactness-preserving). Queries
-  // are minted with bound planes iff set.
-  bool use_pruning = false;
   // Hamerly-style movement bounds (stateful per series; requires that every
   // series sees every centroid update, so the sampled driver leaves it off).
-  // Implies use_pruning at every current call site.
+  // Effective only when pruning() is on.
   bool use_movement_bounds = false;
   double prune_margin = 0.0;
 };
@@ -126,9 +140,11 @@ class Assigner {
                    std::vector<double>* distances = nullptr,
                    std::vector<int>* shifts = nullptr);
 
-  /// Engine-free variant for custom assignment distances: the plain
-  /// exhaustive scan over global rows [base, base + rows) with
-  /// dist(j, i) supplying the distance from centroid j to global series i.
+  /// Engine-free variant for custom assignment distances: the same scan over
+  /// global rows [base, base + rows) with dist(j, i) supplying the distance
+  /// from centroid j to global series i. Nothing abandons and no shift is
+  /// recorded, so every row computes k distances. Requires pruning() off,
+  /// as it is whenever fft_len == 0.
   void AssignBlockWith(const std::function<double(int, std::size_t)>& dist,
                        std::size_t base, std::size_t rows,
                        std::vector<int>* assignments);
@@ -149,8 +165,8 @@ class Assigner {
   /// the bounds' back, so a full rebuild is the only safe continuation).
   void FinishIteration(int reseeds);
 
-  /// Telemetry of the current iteration, reduced in ascending global index
-  /// order across the blocks presented so far.
+  /// Telemetry of the current iteration, summed over the blocks and samples
+  /// scanned since BeginIteration.
   const AssignmentIterationStats& iteration_stats() const { return stats_; }
 
   /// This iteration's centroid queries (for callers' repair scans, and for
@@ -162,27 +178,39 @@ class Assigner {
 
   bool bounds_valid() const { return bounds_valid_; }
 
+  /// The gates pinned at construction: the spectrum layout the queries are
+  /// minted in, and whether they carry bound planes (KSHAPE_PRUNE, off when
+  /// fft_len == 0). Engines scanned by this Assigner must be built with the
+  /// same two settings.
+  bool half_spectrum() const { return half_; }
+  bool pruning() const { return pruning_; }
+
   /// The one nearest-candidate scan: sequential argmin over the engine's
-  /// cached series with spectral early abandoning (plain scan when the
-  /// engine has no bound planes). The abandon cutoff carries `bound_slack`
-  /// headroom over the best-so-far so ulp-level bound rounding can never
-  /// flip a near-tie: the result index/distance is identical to
-  /// DistanceToAll + first-strict-minimum. Backs the SBD BatchScanner
-  /// (classify) and the serving path.
+  /// cached series with spectral early abandoning (nothing abandons when
+  /// neither the engine nor the query has bound planes). The abandon cutoff
+  /// carries `bound_slack` headroom over the best-so-far so ulp-level bound
+  /// rounding can never flip a near-tie: the result index/distance is
+  /// identical to DistanceToAll + first-strict-minimum. Backs the SBD
+  /// BatchScanner (classify) and the serving path.
   static NearestResult NearestSeries(
       const core::SbdEngine& engine, const core::SbdEngine::Query& q,
       double bound_slack = core::SbdEngine::kDefaultBoundSlack);
 
  private:
-  // Shared per-index scan bodies; `i` is the global index, `row` the engine
-  // row (i - base).
-  void PrunedScanIndex(const core::SbdEngine& engine, std::size_t i,
-                       std::size_t row, bool use_bounds,
-                       std::vector<int>* assignments,
-                       std::vector<double>* distances,
-                       std::vector<int>* shifts);
+  // The one per-series scan body: global index `i`, engine or callback row
+  // `row`, reading distances through `dist` (see assigner.cc). Movement
+  // bounds are consulted and updated only when `bounds` is set. Adds this
+  // series' pairs to `counts`.
+  template <typename Dist>
+  void ScanIndex(const Dist& dist, std::size_t i, std::size_t row,
+                 bool bounds, std::vector<int>* assignments,
+                 std::vector<double>* distances, std::vector<int>* shifts,
+                 AssignmentIterationStats* counts);
 
   AssignerOptions options_;
+  bool half_ = false;
+  bool pruning_ = false;
+  bool bounds_ = false;  // use_movement_bounds && pruning_
   std::vector<core::SbdEngine::Query> queries_;
 
   // Movement-bound state, sqrt(SBD) domain (see the scan for the algebra).
@@ -193,9 +221,6 @@ class Assigner {
   double max_shift1_ = 0.0, max_shift2_ = 0.0;
   int max_shift_arg_ = -1;
 
-  // Per-series telemetry cells (disjoint writes in the parallel scans,
-  // reduced sequentially in index order per block).
-  std::vector<long long> cnt_computed_, cnt_pruned_, cnt_abandoned_;
   AssignmentIterationStats stats_;
 };
 

@@ -94,19 +94,6 @@ FittedModel::FittedModel(std::vector<tseries::Series> centroids,
   if (method_.size() >= kMethodBytes) method_.resize(kMethodBytes - 1);
 }
 
-std::vector<core::SbdEngine::Query> FittedModel::CentroidQueries(
-    bool half_spectrum, bool bound_planes) const {
-  KSHAPE_CHECK(!empty());
-  const std::size_t fft_len = fft::NextPowerOfTwo(2 * m() - 1);
-  std::vector<core::SbdEngine::Query> queries;
-  queries.reserve(k());
-  for (std::size_t j = 0; j < k(); ++j) {
-    queries.push_back(core::SbdEngine::MakeQueryFor(
-        centroids_[j], m(), fft_len, half_spectrum, bound_planes));
-  }
-  return queries;
-}
-
 common::Status FittedModel::Save(const std::string& path) const {
   if (empty()) {
     return common::Status::FailedPrecondition(
@@ -276,24 +263,22 @@ PredictResult Predict(const FittedModel& model,
   KSHAPE_CHECK_MSG(batch.length() == model.m(),
                    "batch length does not match the model's m");
   const std::size_t n = batch.size();
-  const bool half = fft::HalfSpectrumEnabled();
-  const bool pruning = core::PruningEnabled();
-
-  // One forward FFT per incoming series; per-series spectra are a fixed
-  // arithmetic function of (series, fft_len), so this engine is bit-for-bit
-  // the engine any fit built over the same rows.
-  const core::SbdEngine engine(batch, core::CrossCorrelationImpl::kFft, half,
-                               /*build_bound_planes=*/pruning);
 
   AssignerOptions options;
   options.k = static_cast<int>(model.k());
   options.num_series = n;
   options.m = model.m();
-  options.fft_len = engine.fft_length();
-  options.use_half_spectrum = half;
-  options.use_pruning = pruning;
+  options.fft_len = fft::NextPowerOfTwo(2 * model.m() - 1);
   Assigner assigner(options);
   assigner.BeginIteration(model.centroids());
+
+  // One forward FFT per incoming series, in the Assigner's configuration;
+  // per-series spectra are a fixed arithmetic function of (series, fft_len),
+  // so this engine is bit-for-bit the engine any fit built over the same
+  // rows.
+  const core::SbdEngine engine(batch, core::CrossCorrelationImpl::kFft,
+                               assigner.half_spectrum(),
+                               /*build_bound_planes=*/assigner.pruning());
 
   PredictResult result;
   result.labels.assign(n, 0);
@@ -337,11 +322,6 @@ AssignerOptions ScorerAssignerOptions(const FittedModel& model) {
   options.num_series = 1;
   options.m = model.m();
   options.fft_len = fft::NextPowerOfTwo(2 * model.m() - 1);
-  // Pinned at construction so the minted queries and every per-ingest engine
-  // share one configuration for the scorer's whole lifetime, even if a test
-  // flips the process gates mid-run.
-  options.use_half_spectrum = fft::HalfSpectrumEnabled();
-  options.use_pruning = core::PruningEnabled();
   return options;
 }
 
@@ -363,8 +343,6 @@ OnlineScorer::OnlineScorer(const FittedModel* model,
       options_(options),
       centroid_rows_(CentroidRows(*model)),
       assigner_(ScorerAssignerOptions(*model)) {
-  half_ = fft::HalfSpectrumEnabled();
-  pruning_ = core::PruningEnabled();
   store_.Reserve(0, model_->m());
   // Frozen centroids: the queries are minted once here and reused by every
   // ingest — the "precomputed centroid spectra" half of the serving path.
@@ -377,8 +355,12 @@ OnlineScorer::Ingested OnlineScorer::Ingest(tseries::SeriesView series) {
   store_.Append(series);
 
   const tseries::SeriesBatch one(series.data(), 1, series.size());
-  const core::SbdEngine engine(one, core::CrossCorrelationImpl::kFft, half_,
-                               /*build_bound_planes=*/pruning_);
+  // Built in the configuration the Assigner pinned at construction, so the
+  // frozen queries and every per-ingest engine match even if a test flips
+  // the process gates mid-run.
+  const core::SbdEngine engine(one, core::CrossCorrelationImpl::kFft,
+                               assigner_.half_spectrum(),
+                               /*build_bound_planes=*/assigner_.pruning());
 
   std::vector<int> label(1, 0);
   std::vector<double> distance(1, 0.0);
@@ -434,8 +416,6 @@ void OnlineScorer::SwapModel(const FittedModel* model) {
   model_ = model;
   centroid_rows_ = CentroidRows(*model);
   assigner_ = Assigner(ScorerAssignerOptions(*model));
-  half_ = fft::HalfSpectrumEnabled();
-  pruning_ = core::PruningEnabled();
   assigner_.BeginIteration(centroid_rows_);
   drifted_ = 0;
   ingested_since_swap_ = 0;

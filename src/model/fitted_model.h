@@ -117,13 +117,6 @@ class FittedModel {
   const FitTelemetry& telemetry() const { return telemetry_; }
   const std::string& method() const { return method_; }
 
-  /// Mints the centroid spectra (+ bound planes when `bound_planes`) in the
-  /// requested layout — the precomputed-spectra half of the serving path.
-  /// Deterministic per configuration, so queries minted after save→load are
-  /// bit-identical to queries minted from the in-memory model.
-  std::vector<core::SbdEngine::Query> CentroidQueries(bool half_spectrum,
-                                                      bool bound_planes) const;
-
   /// Writes the model to `path` (*.kmodel). IoError on filesystem failure.
   common::Status Save(const std::string& path) const;
 
@@ -231,10 +224,6 @@ class OnlineScorer {
   OnlineScorerOptions options_;
   std::vector<tseries::Series> centroid_rows_;
   Assigner assigner_;
-  // Gate settings resolved at construction (and SwapModel): every per-ingest
-  // engine must match the configuration the frozen queries were minted in.
-  bool half_ = true;
-  bool pruning_ = true;
   tseries::SeriesStore store_;
   std::vector<int> labels_;
   std::size_t drifted_ = 0;

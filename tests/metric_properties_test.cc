@@ -2,7 +2,9 @@
 // symmetry, non-negativity for every measure; the triangle inequality for
 // the true metrics (ED, ERP, MSM, Minkowski) and for sqrt(min(SBD, 1)), the
 // metric the movement bounds rely on; and z-normalization-induced
-// scale/translation invariance where the paper claims it (§2.2).
+// scale/translation invariance where the paper claims it (§2.2); and SBD
+// <= 1 from any series to a zero-mean one, which keeps the movement bounds
+// below the metric's cap.
 
 #include <algorithm>
 #include <cmath>
@@ -170,6 +172,14 @@ TEST(SbdSpecificPropertyTest, AntiCorrelatedSeriesApproachTwo) {
 // The tolerance is the square root of a few ulps: an absolute rounding
 // error of a few ulps in an SBD near 0 becomes its square root after the
 // sqrt.
+//
+// Each length also mixes in an offset, scaled copy a·x + b of each series,
+// which is not zero-mean. Against any zero-mean series c, SBD(x, c) <= 1:
+// the cross-correlation summed over all 2m−1 lags is (Σx)(Σc) = 0, so its
+// peak is at least 0. k-Shape centroids are zero-mean (z-normalized, or
+// all-zero), so the movement bounds' uncapped sqrt(SBD) never passes the
+// cap (DESIGN.md, "Movement bounds"); that is checked here in both
+// argument orders, up to rounding.
 TEST(SbdSpecificPropertyTest, SqrtOfCappedSbdIsAMetricOverEngineDistances) {
   const double tol = std::sqrt(16.0 * std::numeric_limits<double>::epsilon());
   for (const core::CrossCorrelationImpl impl :
@@ -179,6 +189,7 @@ TEST(SbdSpecificPropertyTest, SqrtOfCappedSbdIsAMetricOverEngineDistances) {
       for (const std::size_t m : {5u, 16u, 23u, 64u}) {
         common::Rng rng(100 + m);
         std::vector<Series> series;
+        std::vector<bool> zero_mean;
         for (int base = 0; base < 6; ++base) {
           const Series x = tseries::ZNormalized(RandomSeries(m, &rng));
           Series near = x;
@@ -187,13 +198,31 @@ TEST(SbdSpecificPropertyTest, SqrtOfCappedSbdIsAMetricOverEngineDistances) {
           for (double& v : shifted) v += 1e-3 * rng.Gaussian();
           Series negated = x;
           for (double& v : negated) v = -v;
+          Series offset = x;
+          const double a = rng.Uniform(0.5, 2.0);
+          const double b = (base % 2 == 0 ? 1.0 : -1.0) * rng.Uniform(1.0, 3.0);
+          for (double& v : offset) v = a * v + b;
           series.push_back(x);
           series.push_back(tseries::ZNormalized(near));
           series.push_back(tseries::ZNormalized(shifted));
           series.push_back(negated);
+          series.push_back(offset);
+          zero_mean.insert(zero_mean.end(), {true, true, true, true, false});
         }
         const core::SbdEngine engine(series, impl, half);
         const std::size_t n = series.size();
+        double worst_to_centroid = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            if (zero_mean[i] || !zero_mean[j]) continue;
+            worst_to_centroid =
+                std::max({worst_to_centroid, engine.Distance(i, j),
+                          engine.Distance(j, i)});
+          }
+        }
+        EXPECT_LE(worst_to_centroid, 1.0 + 1e-12)
+            << "m=" << m << " half=" << half << " bluestein="
+            << (impl == core::CrossCorrelationImpl::kFftNoPow2);
         std::vector<double> d(n * n);
         for (std::size_t i = 0; i < n; ++i) {
           for (std::size_t j = 0; j < n; ++j) {

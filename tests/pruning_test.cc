@@ -21,7 +21,11 @@
 //  - the Assigner's shift record holds the owner's NCC peak shift for every
 //    row it computed an owner distance for, kNoShift for rows the bounds
 //    pruned whole, and nothing outside a sampled pass's sample — without
-//    changing labels or telemetry.
+//    changing labels or telemetry;
+//  - the one scan body agrees with its engine-free entry point
+//    (AssignBlockWith, which computes all n·k pairs), and "pruning off" is
+//    "no bound planes": DistanceWithAbandon without planes is the exact
+//    distance, and planes on one side only abort.
 
 #include <cmath>
 #include <cstddef>
@@ -227,11 +231,47 @@ TEST(PruningTest, BoundPlanesOffByDefault) {
   EXPECT_FALSE(engine.has_bound_planes());
   const core::SbdEngine::Query q = engine.MakeQuery(series[0]);
   EXPECT_TRUE(q.mag.empty());
-  // NearestSeries degrades to the plain scan: exact result, zero abandoned.
+  // No planes means no pruning: DistanceWithAbandon is the exact distance
+  // with its shift, bitwise, and never abandons — not even at a cutoff
+  // below every distance.
+  for (std::size_t i = 0; i < engine.size(); ++i) {
+    int exact_shift = 0;
+    const double exact = engine.Distance(q, i, &exact_shift);
+    for (const double cutoff :
+         {-1.0, 0.0, std::numeric_limits<double>::infinity()}) {
+      bool abandoned = true;
+      int shift = model::Assigner::kNoShift;
+      const double v =
+          engine.DistanceWithAbandon(q, i, cutoff, &abandoned, &shift);
+      EXPECT_FALSE(abandoned) << "i=" << i << " cutoff=" << cutoff;
+      EXPECT_EQ(v, exact) << "i=" << i;  // Bitwise.
+      EXPECT_EQ(shift, exact_shift) << "i=" << i;
+    }
+  }
+  // NearestSeries runs its one loop as the plain scan: exact result, zero
+  // abandoned.
   const model::NearestResult r = model::Assigner::NearestSeries(engine, q);
   EXPECT_EQ(r.abandoned, 0);
   EXPECT_EQ(r.computed, static_cast<long long>(engine.size()));
   EXPECT_EQ(r.index, 0u);
+}
+
+TEST(PruningDeathTest, BoundPlanesOnOneSideOnlyAbort) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::vector<Series> series = MakeSeries(6, 32, 7);
+  const core::SbdEngine plain(series);
+  const core::SbdEngine planed(series, core::CrossCorrelationImpl::kFft,
+                               fft::HalfSpectrumEnabled(),
+                               /*build_bound_planes=*/true);
+  const core::SbdEngine::Query plain_q = plain.MakeQuery(series[0]);
+  const core::SbdEngine::Query planed_q = planed.MakeQuery(series[0]);
+  bool abandoned = false;
+  EXPECT_DEATH(planed.DistanceWithAbandon(plain_q, 1, 0.5, &abandoned),
+               "one of engine and query");
+  EXPECT_DEATH(plain.DistanceWithAbandon(planed_q, 1, 0.5, &abandoned),
+               "one of engine and query");
+  EXPECT_DEATH(model::Assigner::NearestSeries(planed, plain_q),
+               "one of engine and query");
 }
 
 // ---------------------------------------------------------------------------
@@ -241,18 +281,47 @@ TEST(PruningTest, BoundPlanesOffByDefault) {
 // A value no scan writes, so untouched cells are told apart from kNoShift.
 constexpr int kUnwritten = 1 << 20;
 
+// The layout and pruning gates come from the process gates the Assigner
+// reads at construction; `engine` must have been built under them.
 model::AssignerOptions ShiftTestOptions(const core::SbdEngine& engine, int k,
-                                        bool pruning, bool bounds) {
+                                        bool bounds) {
   model::AssignerOptions options;
   options.k = k;
   options.num_series = engine.size();
   options.m = engine.series_length();
   options.fft_len = engine.fft_length();
-  options.use_half_spectrum = engine.half_spectrum();
-  options.use_pruning = pruning;
   options.use_movement_bounds = bounds;
   options.prune_margin = 1e-6;
   return options;
+}
+
+// The engine-free twin of an engine scan: an fft_len = 0 Assigner whose
+// AssignBlockWith reads the same cached distances, against `queries`,
+// through a callback. It never abandons and records no shift.
+model::Assigner CallbackTwin(const core::SbdEngine& engine, int k) {
+  model::AssignerOptions options;
+  options.k = k;
+  options.num_series = engine.size();
+  options.m = engine.series_length();
+  model::Assigner twin(options);
+  EXPECT_FALSE(twin.pruning());
+  return twin;
+}
+
+void AssignWithCallback(model::Assigner* twin, const core::SbdEngine& engine,
+                        const std::vector<core::SbdEngine::Query>& queries,
+                        const std::vector<Series>& centroids,
+                        std::vector<int>* labels) {
+  twin->BeginIteration(centroids);
+  twin->AssignBlockWith(
+      [&](int j, std::size_t i) { return engine.Distance(queries[j], i); }, 0,
+      engine.size(), labels);
+  const model::AssignmentIterationStats& stats = twin->iteration_stats();
+  EXPECT_EQ(stats.computed,
+            static_cast<long long>(engine.size()) *
+                static_cast<long long>(centroids.size()));
+  EXPECT_EQ(stats.pruned_bounds, 0);
+  EXPECT_EQ(stats.abandoned_partial, 0);
 }
 
 void ExpectSameStats(const model::AssignmentIterationStats& a,
@@ -263,11 +332,13 @@ void ExpectSameStats(const model::AssignmentIterationStats& a,
 }
 
 // Four full passes of a shift-recording Assigner beside a twin that records
-// nothing, with every centroid nudged between passes so the movement bounds
-// (when on) prune. Every row is written each pass: a row with a computed
-// owner distance holds engine.MaxNcc(queries()[label], row).shift, a row
-// the bounds pruned whole holds kNoShift and keeps its label. Labels and
-// telemetry match the twin exactly.
+// nothing and an engine-free callback twin, with every centroid nudged
+// between passes so the movement bounds (when on) prune. Every row is
+// written each pass: a row with a computed owner distance holds
+// engine.MaxNcc(queries()[label], row).shift, a row the bounds pruned whole
+// holds kNoShift and keeps its label. Labels and telemetry match the
+// recording-free twin exactly; labels match the callback twin, which
+// computes all n·k pairs.
 void ExpectShiftRecordFaithful(bool pruning, bool bounds) {
   GateGuard gate_guard;
   core::SetPruningEnabledForTesting(pruning);
@@ -276,13 +347,16 @@ void ExpectShiftRecordFaithful(bool pruning, bool bounds) {
   const std::size_t n = series.size();
   const core::SbdEngine engine(series, core::CrossCorrelationImpl::kFft,
                                fft::HalfSpectrumEnabled(), pruning);
-  const model::AssignerOptions options =
-      ShiftTestOptions(engine, k, pruning, bounds);
+  const model::AssignerOptions options = ShiftTestOptions(engine, k, bounds);
   model::Assigner recording(options);
   model::Assigner plain(options);
+  ASSERT_EQ(recording.pruning(), pruning);
+  ASSERT_EQ(recording.half_spectrum(), engine.half_spectrum());
+  model::Assigner callback = CallbackTwin(engine, k);
   std::vector<int> labels(n), plain_labels(n);
   for (std::size_t i = 0; i < n; ++i) labels[i] = static_cast<int>(i % 4);
   plain_labels = labels;
+  std::vector<int> callback_labels = labels;
   std::vector<Series> centroids(series.begin(), series.begin() + k);
   long long pruned_whole = 0;
   for (int pass = 0; pass < 4; ++pass) {
@@ -303,6 +377,9 @@ void ExpectShiftRecordFaithful(bool pruning, bool bounds) {
     plain.AssignBlock(engine, 0, &plain_labels);
     ASSERT_EQ(labels, plain_labels) << "pass " << pass;
     ExpectSameStats(recording.iteration_stats(), plain.iteration_stats());
+    AssignWithCallback(&callback, engine, recording.queries(), centroids,
+                       &callback_labels);
+    ASSERT_EQ(labels, callback_labels) << "pass " << pass;
 
     long long whole = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -353,9 +430,10 @@ TEST(PruningTest, SampledPassRecordsShiftsOfTheSampleOnly) {
     const core::SbdEngine engine(series, core::CrossCorrelationImpl::kFft,
                                  fft::HalfSpectrumEnabled(), pruning);
     const model::AssignerOptions options =
-        ShiftTestOptions(engine, k, pruning, /*bounds=*/false);
+        ShiftTestOptions(engine, k, /*bounds=*/false);
     model::Assigner recording(options);
     model::Assigner plain(options);
+    ASSERT_EQ(recording.pruning(), pruning);
     const std::vector<Series> centroids(series.begin() + k,
                                         series.begin() + 2 * k);
     recording.BeginIteration(centroids);
@@ -367,6 +445,15 @@ TEST(PruningTest, SampledPassRecordsShiftsOfTheSampleOnly) {
     plain.AssignSample(engine, 0, sample, 0, sample.size(), &plain_labels);
     EXPECT_EQ(labels, plain_labels);
     ExpectSameStats(recording.iteration_stats(), plain.iteration_stats());
+    // The engine-free twin scans every row; on the sample it agrees.
+    model::Assigner callback = CallbackTwin(engine, k);
+    std::vector<int> callback_labels(n, 0);
+    AssignWithCallback(&callback, engine, recording.queries(), centroids,
+                       &callback_labels);
+    for (const std::size_t i : sample) {
+      EXPECT_EQ(labels[i], callback_labels[i])
+          << "pruning=" << pruning << " row " << i;
+    }
     std::size_t next = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (next < sample.size() && sample[next] == i) {
