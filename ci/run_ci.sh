@@ -30,25 +30,29 @@
 #    stays unfused on FMA hosts.
 # 3. ThreadSanitizer build; parallel_test, thread_pool_test, sbd_cache_test,
 #    rfft_test, simd_kernels_test, pruning_test, sharded_store_test,
-#    shape_extraction_test, minibatch_kshape_test, fitted_model_test and
-#    kshape_test run under TSan. They cover the pool, the FFT/RFFT plan
-#    caches, the spectrum-cached SBD pipeline, the kernel dispatch cache, the
-#    assignment scan and its per-chunk counter sums, the shard residency cache,
-#    the sharded assignment fan-out, the matrix-free extraction matvec
-#    (RowPoolMatVec's disjoint partial blocks), Predict's parallel
-#    assignment over a frozen model, and the k-Shape shift record (cells
+#    shape_extraction_test, minibatch_kshape_test, fitted_model_test,
+#    kshape_test and multivariate_test run under TSan. They cover the pool,
+#    the FFT/RFFT plan caches, the spectrum-cached SBD pipeline, the kernel
+#    dispatch cache, the assignment scan and its per-chunk counter sums, the
+#    shard residency cache, the sharded assignment fan-out, the matrix-free
+#    extraction matvec (RowPoolMatVec's disjoint partial blocks), Predict's
+#    parallel assignment over a frozen model, the k-Shape shift record (cells
 #    written by the parallel assignment scan, read by the refinement on the
-#    coordinating thread). TSAN_SUITES below is the one list of them.
+#    coordinating thread), and the multichannel engine pre-pass and scans
+#    (per-channel spectrum slots, channel-summed peaks in thread_local
+#    buffers). TSAN_SUITES below is the one list of them.
 # 4. AddressSanitizer+UBSan build; the robustness suites (degenerate inputs,
 #    property sweeps over hostile data, conditioning) plus simd_kernels_test
 #    (unaligned loads, odd tails), rfft_test (packed-bin indexing),
 #    pruning_test (bound-plane indexing), sharded_store_test (truncated or
 #    corrupt shards), minibatch_kshape_test (sampled scatter indexing),
 #    shape_extraction_test (pooled-row and partial-block indexing),
-#    fitted_model_test (the .kmodel corruption matrix), and kshape_test and
+#    fitted_model_test (the .kmodel corruption matrix), kshape_test and
 #    sbd_cache_test (members aligned by the assignment's recorded shift, so
-#    a stale or sentinel shift that reaches the row indexing is reported)
-#    run under ASan+UBSan. ASAN_SUITES below is the one list of them.
+#    a stale or sentinel shift that reaches the row indexing is reported),
+#    and multivariate_test (channel-strided spectrum slots, bound planes and
+#    per-channel accumulator pools) run under ASan+UBSan. ASAN_SUITES below
+#    is the one list of them.
 #
 # Usage: ci/run_ci.sh [build-dir-prefix]   (default: build-ci)
 
@@ -113,11 +117,11 @@ echo "==> tier1 tests under -march=native (kernel TU contract firewall)"
 TSAN_SUITES=(parallel_test thread_pool_test sbd_cache_test rfft_test
              simd_kernels_test pruning_test sharded_store_test
              shape_extraction_test minibatch_kshape_test fitted_model_test
-             kshape_test)
+             kshape_test multivariate_test)
 ASAN_SUITES=(degenerate_input_test robustness_properties_test tseries_test
              rfft_test simd_kernels_test pruning_test sharded_store_test
              shape_extraction_test minibatch_kshape_test fitted_model_test
-             kshape_test sbd_cache_test)
+             kshape_test sbd_cache_test multivariate_test)
 
 echo "==> ThreadSanitizer build (${TSAN_DIR})"
 cmake -B "${TSAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

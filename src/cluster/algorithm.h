@@ -84,7 +84,8 @@ struct ClusteringResult {
   /// The fitted model: frozen centroids + fingerprint + telemetry snapshot,
   /// ready for Save / Predict / OnlineScorer. Filled by every
   /// centroid-producing method (via AttachFittedModel); methods without
-  /// centroids leave it empty().
+  /// centroids, and multichannel k-Shape runs (whose centroids a model
+  /// cannot score), leave it empty().
   model::FittedModel model;
 };
 

@@ -12,6 +12,7 @@
 #include "core/sbd_engine.h"
 #include "fft/fft.h"
 #include "fft/rfft.h"
+#include "linalg/matrix.h"
 #include "model/assigner.h"
 
 namespace kshape::core {
@@ -39,12 +40,14 @@ std::vector<int> PlusPlusSeeding(SeriesBlocks* blocks, int k,
   std::vector<double> d2(n);  // Squared SBD to the nearest chosen seed.
   std::vector<int> nearest(n, 0);
 
+  const std::size_t channels = blocks->channels();
   const auto scan = [&](std::size_t seed, int seed_index) {
     const tseries::Series seed_row = blocks->Row(seed);
     std::optional<SbdEngine::Query> q;
     if (fft_len > 0) {
-      q = SbdEngine::MakeQueryFor(seed_row, seed_row.size(), fft_len, half,
-                                  /*build_bound_planes=*/false);
+      q = SbdEngine::MakeQueryFor(seed_row, seed_row.size() / channels,
+                                  fft_len, half,
+                                  /*build_bound_planes=*/false, channels);
     }
     for (std::size_t b = 0; b < blocks->num_blocks(); ++b) {
       const SeriesBlock block = blocks->Block(b);
@@ -128,16 +131,18 @@ void ForEachSampleBlock(SeriesBlocks* blocks,
 // In-memory corpus: the whole batch as block 0.
 class InMemoryBlocks : public SeriesBlocks {
  public:
-  InMemoryBlocks(const tseries::SeriesBatch& series, bool cached)
-      : series_(series) {
+  InMemoryBlocks(const tseries::SeriesBatch& series, bool cached,
+                 std::size_t channels)
+      : series_(series), channels_(channels) {
     if (cached) {
       engine_.emplace(series, CrossCorrelationImpl::kFft,
-                      fft::HalfSpectrumEnabled(), PruningEnabled());
+                      fft::HalfSpectrumEnabled(), PruningEnabled(), channels);
     }
   }
 
   std::size_t size() const override { return series_.size(); }
   std::size_t length() const override { return series_.length(); }
+  std::size_t channels() const override { return channels_; }
   std::size_t num_blocks() const override { return 1; }
   std::size_t BlockOfRow(std::size_t) const override { return 0; }
   SeriesBlock Block(std::size_t) override {
@@ -149,6 +154,7 @@ class InMemoryBlocks : public SeriesBlocks {
 
  private:
   tseries::SeriesBatch series_;
+  std::size_t channels_;
   std::optional<SbdEngine> engine_;
 };
 
@@ -161,13 +167,18 @@ cluster::ClusteringResult ClusterBlocks(const KShapeOptions& options,
   KSHAPE_CHECK(blocks != nullptr && rng != nullptr);
   KSHAPE_CHECK(options.max_iterations >= 1 && options.refresh_period >= 1);
   const std::size_t n = blocks->size();
-  const std::size_t m = blocks->length();
+  const std::size_t row_length = blocks->length();
+  const std::size_t channels = blocks->channels();
   KSHAPE_CHECK(n >= 1 && k >= 1 && static_cast<std::size_t>(k) <= n);
+  KSHAPE_CHECK(channels >= 1 && row_length % channels == 0);
+  const std::size_t m = row_length / channels;  // Channel length.
   const bool cached = options.assignment_distance == nullptr;
   const bool minibatch =
       options.minibatch_size > 0 && options.minibatch_size < n;
   KSHAPE_CHECK_MSG(cached || !minibatch,
                    "mini-batch sampling needs the SBD spectrum cache");
+  KSHAPE_CHECK_MSG(cached || channels == 1,
+                   "a custom assignment distance compares one channel");
   const std::size_t fft_len = cached ? fft::NextPowerOfTwo(2 * m - 1) : 0;
 
   // The one assignment implementation (movement bounds + spectral abandon +
@@ -181,9 +192,9 @@ cluster::ClusteringResult ClusterBlocks(const KShapeOptions& options,
   assigner_options.k = k;
   assigner_options.num_series = n;
   assigner_options.m = m;
+  assigner_options.channels = channels;
   assigner_options.fft_len = fft_len;
   assigner_options.use_movement_bounds = !minibatch;
-  assigner_options.prune_margin = options.prune_margin;
   model::Assigner assigner(assigner_options);
 
   cluster::ClusteringResult result;
@@ -191,7 +202,7 @@ cluster::ClusteringResult ClusterBlocks(const KShapeOptions& options,
       options.init == KShapeInit::kPlusPlusSeeding
           ? PlusPlusSeeding(blocks, k, rng, fft_len, assigner.half_spectrum())
           : cluster::RandomAssignments(n, k, rng);
-  result.centroids.assign(k, tseries::Series(m, 0.0));
+  result.centroids.assign(k, tseries::Series(row_length, 0.0));
 
   // Distance from centroid j to the global row r of `block`.
   const auto block_distance = [&](const SeriesBlock& block, int j,
@@ -235,19 +246,19 @@ cluster::ClusteringResult ClusterBlocks(const KShapeOptions& options,
     assigner.SnapshotCentroids(result.centroids);
 
     // Refinement step (Algorithm 3, lines 5-10): one ShapeAccumulator per
-    // cluster, aligned to the previous centroid and fed in global index
-    // order, then Finish in cluster order so cold-start rng draws replay
-    // identically. The accumulators pool every member they are fed: O(n·m)
-    // extraction memory across the k clusters on a full pass, each pool
-    // sized once from the member count. A degenerate extraction (all
+    // cluster and channel, aligned to the previous centroid and fed in
+    // global index order, then Finish in cluster-then-channel order so
+    // cold-start rng draws replay identically. The accumulators pool every
+    // member they are fed: O(n·C·m) extraction memory on a full pass, each
+    // pool sized once from the member count. A degenerate extraction (all
     // members zero-norm) keeps the zero centroid as its documented
     // representative and is surfaced via the result flag.
     //
     // The previous centroid is the one the last assignment pass scanned, so
     // on the cached path a member aligns by its recorded shift; one the
     // movement bounds pruned whole (or a sampled pass skipped) costs one
-    // inverse transform against that centroid's query instead. Engine-free
-    // runs align by per-pair Sbd().
+    // MaxNcc against that centroid's query instead. Every channel of a
+    // member moves by that shift. Engine-free runs align by per-pair Sbd().
     common::Stopwatch phase_clock;
     {
       std::vector<std::size_t> members(k, 0);
@@ -256,25 +267,33 @@ cluster::ClusteringResult ClusterBlocks(const KShapeOptions& options,
       } else {
         for (std::size_t i : sample) ++members[result.assignments[i]];
       }
+      // Accumulator j·C + c extracts channel c of centroid j.
       std::vector<ShapeAccumulator> accumulators;
-      accumulators.reserve(k);
+      accumulators.reserve(k * channels);
       for (int j = 0; j < k; ++j) {
-        accumulators.emplace_back(result.centroids[j], options.shape_options);
-        accumulators[j].Reserve(members[j]);
+        const tseries::SeriesView centroid = result.centroids[j];
+        const bool align = linalg::Norm(centroid) > 0.0;
+        for (std::size_t c = 0; c < channels; ++c) {
+          accumulators.emplace_back(centroid.subspan(c * m, m),
+                                    options.shape_options, align);
+          accumulators.back().Reserve(members[j]);
+        }
       }
       const auto feed = [&](const SeriesBlock& block, std::size_t i) {
         const std::size_t r = i - block.base;
         const int j = result.assignments[i];
-        ShapeAccumulator& accumulator = accumulators[j];
+        ShapeAccumulator* cluster = &accumulators[j * channels];
         if (block.engine == nullptr) {
-          accumulator.Add(block.rows[r]);
+          cluster->Add(block.rows[r]);  // One channel.
           return;
         }
         int shift = shifts[i];
-        if (shift == model::Assigner::kNoShift && accumulator.aligns()) {
+        if (shift == model::Assigner::kNoShift && cluster->aligns()) {
           shift = block.engine->MaxNcc(assigner.queries()[j], r).shift;
         }
-        accumulator.Add(block.rows[r], shift);
+        for (std::size_t c = 0; c < channels; ++c) {
+          cluster[c].Add(block.rows[r].subspan(c * m, m), shift);
+        }
       };
       if (full_pass) {
         for (std::size_t b = 0; b < blocks->num_blocks(); ++b) {
@@ -292,16 +311,20 @@ cluster::ClusteringResult ClusterBlocks(const KShapeOptions& options,
       }
       result.degenerate_centroids = 0;
       for (int j = 0; j < k; ++j) {
-        const bool had_members = accumulators[j].members_added() > 0;
+        const ShapeAccumulator* cluster = &accumulators[j * channels];
+        const bool had_members = cluster->members_added() > 0;
         // No sampled member is not evidence the cluster is empty: keep the
         // previous centroid instead of degenerate-zeroing it.
         if (!full_pass && !had_members) continue;
-        ExtractedShape extracted =
-            accumulators[j].Finish(rng, options.shape_options);
-        result.centroids[j] = std::move(extracted.centroid);
-        if (extracted.degenerate && had_members) {
-          ++result.degenerate_centroids;
+        bool degenerate = true;
+        for (std::size_t c = 0; c < channels; ++c) {
+          const ExtractedShape extracted =
+              cluster[c].Finish(rng, options.shape_options);
+          std::copy(extracted.centroid.begin(), extracted.centroid.end(),
+                    result.centroids[j].begin() + c * m);
+          degenerate = degenerate && extracted.degenerate;
         }
+        if (degenerate && had_members) ++result.degenerate_centroids;
       }
     }
     result.extraction_seconds += phase_clock.ElapsedSeconds();
@@ -366,8 +389,20 @@ cluster::ClusteringResult ClusterBlocks(const KShapeOptions& options,
       break;
     }
   }
-  cluster::AttachFittedModel(&result, name);
+  if (channels == 1) cluster::AttachFittedModel(&result, name);
   return result;
+}
+
+cluster::ClusteringResult ClusterBatch(const KShapeOptions& options,
+                                       const tseries::SeriesBatch& series,
+                                       std::size_t channels, int k,
+                                       common::Rng* rng,
+                                       const std::string& name) {
+  // Custom assignment distances run engine-free (the engine only
+  // accelerates SBD).
+  InMemoryBlocks blocks(series, options.assignment_distance == nullptr,
+                        channels);
+  return ClusterBlocks(options, &blocks, k, rng, name);
 }
 
 KShape::KShape(KShapeOptions options) : options_(options) {
@@ -379,12 +414,7 @@ KShape::KShape(KShapeOptions options) : options_(options) {
 
 cluster::ClusteringResult KShape::Cluster(
     const tseries::SeriesBatch& series, int k, common::Rng* rng) const {
-  KSHAPE_CHECK(!series.empty());
-  // Spectrum cache: every series' forward FFT is computed once here and
-  // reused by every seeding scan and every assignment distance. Custom
-  // assignment distances run engine-free (the engine only accelerates SBD).
-  InMemoryBlocks blocks(series, options_.assignment_distance == nullptr);
-  return ClusterBlocks(options_, &blocks, k, rng, name_);
+  return ClusterBatch(options_, series, /*channels=*/1, k, rng, name_);
 }
 
 }  // namespace kshape::core

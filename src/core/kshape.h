@@ -62,22 +62,13 @@ struct KShapeOptions {
   ///     (z-normalized, or all-zero), so SBD(x, c) <= 1 for any series x
   ///     and the bounds' uncapped sqrt(SBD) never passes the cap. The
   ///     triangle inequality these updates rely on therefore holds up to
-  ///     rounding, which this margin guards.
+  ///     rounding, which a 1e-6 margin guards (model/assigner.cc).
   ///  2. Spectral early-abandon NCC — candidates whose partial-sum NCC upper
   ///     bound (SbdEngine::DistanceWithAbandon) cannot beat the best-so-far
   ///     are dropped without an inverse transform. This layer is rigorous
   ///     and cannot change labels.
   /// Telemetry lands in ClusteringResult::{distances_computed,
   /// distances_pruned_bounds, distances_abandoned_partial, assignment_stats}.
-  ///
-  /// The margin is in SBD distance units: a series is pruned only when its
-  /// owner-distance upper bound clears the second-closest lower bound by
-  /// more than this. It is a rounding guard: the computed SBDs carry a few
-  /// ulps, about 1e-8 after the square root at SBD near 0, and the bounds
-  /// accumulate those. Larger values prune less; +infinity disables the
-  /// movement-bound layer entirely and makes the run bit-identical to the
-  /// exact path (the spectral layer is exactness-preserving on its own).
-  double prune_margin = 1e-6;
 
   /// Mini-batch size B: when 0 < B < n, most iterations draw a uniform
   /// sample of B series (Floyd's algorithm on the coordinating thread, from
@@ -124,19 +115,22 @@ struct SeriesBlock {
 };
 
 /// The corpus of one k-Shape run as consecutive blocks in ascending base
-/// order. KShape presents its batch as one block; cluster::MiniBatchKShape
-/// presents one block per shard of a store, loading shards on demand. On
-/// the cached-SBD path every block's engine is built as
+/// order, each row C = channels() channels, channel-major. KShape and
+/// MultivariateKShape present their batch as one block (ClusterBatch);
+/// cluster::MiniBatchKShape presents one block per shard of a store, loading
+/// shards on demand. On the cached-SBD path every block's engine is built as
 /// SbdEngine(rows, CrossCorrelationImpl::kFft, fft::HalfSpectrumEnabled(),
-/// PruningEnabled()), so the centroid queries the driver mints once per
-/// iteration (SbdEngine::MakeQueryFor) are valid against all of them.
+/// PruningEnabled(), channels()), so the centroid queries ClusterBlocks
+/// mints once per iteration (SbdEngine::MakeQueryFor) are valid against
+/// all.
 class SeriesBlocks {
  public:
   virtual ~SeriesBlocks() = default;
 
-  /// Total rows n and the common row length m.
+  /// Total rows n, the common row length C·m, and the channel count C.
   virtual std::size_t size() const = 0;
   virtual std::size_t length() const = 0;
+  virtual std::size_t channels() const { return 1; }
 
   virtual std::size_t num_blocks() const = 0;
   virtual std::size_t BlockOfRow(std::size_t i) const = 0;
@@ -151,18 +145,31 @@ class SeriesBlocks {
 
 /// Algorithm 3 over a block-streamed corpus: the one k-Shape iteration loop.
 /// Initializes (random assignment or ++ seeding), then per iteration refines
-/// every centroid by shape extraction — one ShapeAccumulator per cluster,
-/// fed in global index order — and reassigns every series (or, on sampled
-/// mini-batch iterations, the sample) block by block through one
+/// every centroid by shape extraction — one ShapeAccumulator per cluster and
+/// channel, fed in global index order — and reassigns every series (or, on
+/// sampled mini-batch iterations, the sample) block by block through one
 /// model::Assigner, repairs empty clusters, and stops at a fixed point of a
 /// full pass or at max_iterations. Every order-sensitive reduction runs in
 /// global index order, so the result does not depend on how the corpus is
-/// split into blocks, nor on thread count. Stamps `name` on the attached
-/// FittedModel.
+/// split into blocks, nor on thread count.
+///
+/// With C > 1 channels (spectrum cache only) distances are channel-summed
+/// SBDs, and a member's channels share one shift, as in
+/// ExtractMultivariateShape. Only C = 1 results carry a FittedModel, stamped
+/// with `name`.
 cluster::ClusteringResult ClusterBlocks(const KShapeOptions& options,
                                         SeriesBlocks* blocks, int k,
                                         common::Rng* rng,
                                         const std::string& name);
+
+/// ClusterBlocks over an in-memory batch of rows of `channels` channels as
+/// one block, its spectrum cache (unless assignment_distance is set) built
+/// once per call.
+cluster::ClusteringResult ClusterBatch(const KShapeOptions& options,
+                                       const tseries::SeriesBatch& series,
+                                       std::size_t channels, int k,
+                                       common::Rng* rng,
+                                       const std::string& name);
 
 /// k-Shape, Algorithm 3 of the paper.
 ///
@@ -172,8 +179,8 @@ cluster::ClusteringResult ClusterBlocks(const KShapeOptions& options,
 /// extraction (Algorithm 2), using the previous centroid as the alignment
 /// reference. Runs until the assignment reaches a fixed point or
 /// `max_iterations` is hit. O(max{n k m log m, n m^2, k m^3}) per iteration
-/// — linear in the number of series (§3.3). Runs ClusterBlocks over the
-/// batch as a single block.
+/// — linear in the number of series (§3.3). Runs ClusterBatch with one
+/// channel.
 class KShape : public cluster::ClusteringAlgorithm {
  public:
   explicit KShape(KShapeOptions options = {});

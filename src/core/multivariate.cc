@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
-#include "common/parallel.h"
-#include "cluster/algorithm.h"
+#include "core/kshape.h"
 #include "fft/fft.h"
 #include "linalg/matrix.h"
-#include "model/assigner.h"
 #include "tseries/normalization.h"
 
 namespace kshape::core {
@@ -35,63 +33,6 @@ void CheckCompatible(const MultivariateSeries& x,
   for (const auto& channel : y.channels) {
     KSHAPE_CHECK_MSG(channel.size() == y.length(), "ragged channels");
   }
-}
-
-MultivariateSeries ShiftAllChannels(const MultivariateSeries& x, int shift) {
-  MultivariateSeries out;
-  out.channels.reserve(x.num_channels());
-  for (const auto& channel : x.channels) {
-    out.channels.push_back(tseries::ShiftWithZeroFill(channel, shift));
-  }
-  return out;
-}
-
-bool IsZeroNorm(const MultivariateSeries& x) {
-  for (const auto& channel : x.channels) {
-    if (linalg::Norm(channel) > 0.0) return false;
-  }
-  return true;
-}
-
-// Spectrum cache for one multivariate series: the padded forward transform of
-// every channel plus the summed channel energy (the mSBD denominator piece).
-// All channels share one common shift, so the assignment step can sum the
-// per-channel cross-correlations recovered from these spectra — one inverse
-// transform per channel per pair, with no forward transforms in the scan.
-struct ChannelSpectra {
-  std::vector<std::vector<fft::Complex>> spectra;
-  double energy = 0.0;
-};
-
-ChannelSpectra MakeChannelSpectra(const MultivariateSeries& s,
-                                  std::size_t fft_len) {
-  ChannelSpectra out;
-  out.spectra.reserve(s.num_channels());
-  for (const auto& channel : s.channels) {
-    out.spectra.push_back(fft::Spectrum(channel, fft_len));
-    out.energy += linalg::Dot(channel, channel);
-  }
-  return out;
-}
-
-// mSBD from cached spectra; same formula as MultivariateSbd, same epsilon
-// (not bitwise) agreement contract as the univariate SbdEngine.
-double CachedMsbdDistance(const ChannelSpectra& x, const ChannelSpectra& y,
-                          std::size_t m) {
-  const double den = std::sqrt(x.energy * y.energy);
-  if (den == 0.0) return 1.0;
-  static thread_local std::vector<double> cc;
-  static thread_local std::vector<double> total;
-  total.assign(2 * m - 1, 0.0);
-  for (std::size_t c = 0; c < x.spectra.size(); ++c) {
-    fft::CrossCorrelationFromSpectra(x.spectra[c], y.spectra[c], m, &cc);
-    for (std::size_t i = 0; i < total.size(); ++i) total[i] += cc[i];
-  }
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < total.size(); ++i) {
-    if (total[i] > total[best]) best = i;
-  }
-  return 1.0 - total[best] / den;
 }
 
 }  // namespace
@@ -129,7 +70,10 @@ MultivariateSbdResult MultivariateSbd(const MultivariateSeries& x,
   }
   result.shift = static_cast<int>(best) - static_cast<int>(m - 1);
   result.distance = 1.0 - total[best] / den;
-  result.aligned_y = ShiftAllChannels(y, result.shift);
+  for (const auto& channel : y.channels) {
+    result.aligned_y.channels.push_back(
+        tseries::ShiftWithZeroFill(channel, result.shift));
+  }
   return result;
 }
 
@@ -145,24 +89,25 @@ MultivariateSeries ExtractMultivariateShape(
   centroid.channels.assign(d, tseries::Series(m, 0.0));
   if (members.empty()) return centroid;
 
-  const bool align = !IsZeroNorm(reference);
-
-  // Align each member once with the common shift, then run the univariate
-  // extraction per channel on the aligned copies.
-  std::vector<std::vector<tseries::Series>> per_channel(d);
+  // One accumulator per channel, all fed the member's one mSBD shift whenever
+  // the reference as a whole has nonzero norm (ClusterBlocks' rule).
+  const bool align = std::any_of(
+      reference.channels.begin(), reference.channels.end(),
+      [](const tseries::Series& c) { return linalg::Norm(c) > 0.0; });
+  std::vector<ShapeAccumulator> accumulators;
+  accumulators.reserve(d);
+  for (std::size_t c = 0; c < d; ++c) {
+    accumulators.emplace_back(reference.channels[c], options, align);
+  }
   for (const MultivariateSeries& member : members) {
     CheckCompatible(reference, member);
-    const MultivariateSeries aligned =
-        align ? MultivariateSbd(reference, member).aligned_y : member;
+    const int shift = align ? MultivariateSbd(reference, member).shift : 0;
     for (std::size_t c = 0; c < d; ++c) {
-      per_channel[c].push_back(aligned.channels[c]);
+      accumulators[c].Add(member.channels[c], shift);
     }
   }
   for (std::size_t c = 0; c < d; ++c) {
-    // Members are pre-aligned; pass a zero reference so the univariate
-    // extraction does not re-shift individual channels.
-    centroid.channels[c] = ExtractShape(per_channel[c],
-                                        tseries::Series(m, 0.0), rng, options);
+    centroid.channels[c] = accumulators[c].Finish(rng, options).centroid;
   }
   return centroid;
 }
@@ -176,88 +121,40 @@ MultivariateClusteringResult MultivariateKShape::Cluster(
     const std::vector<MultivariateSeries>& series, int k,
     common::Rng* rng) const {
   KSHAPE_CHECK(!series.empty());
-  KSHAPE_CHECK(k >= 1 && static_cast<std::size_t>(k) <= series.size());
-  KSHAPE_CHECK(rng != nullptr);
-  const std::size_t n = series.size();
   const std::size_t d = series[0].num_channels();
   const std::size_t m = series[0].length();
-  KSHAPE_CHECK(m >= 1);
   for (const auto& s : series) CheckCompatible(series[0], s);
 
+  // Each series becomes one channel-major row of d·m values.
+  tseries::SeriesStore rows;
+  rows.Reserve(series.size(), d * m);
+  tseries::Series row(d * m);
+  for (const MultivariateSeries& s : series) {
+    for (std::size_t c = 0; c < d; ++c) {
+      std::copy(s.channels[c].begin(), s.channels[c].end(),
+                row.begin() + c * m);
+    }
+    rows.Append(row);
+  }
+  const KShapeOptions options{.max_iterations = options_.max_iterations,
+                              .init = KShapeInit::kRandomAssignment,
+                              .shape_options = options_.shape_options};
+  cluster::ClusteringResult fit =
+      ClusterBatch(options, rows, d, k, rng, "multivariate k-Shape");
+
   MultivariateClusteringResult result;
-  result.assignments = cluster::RandomAssignments(n, k, rng);
-  MultivariateSeries zero;
-  zero.channels.assign(d, tseries::Series(m, 0.0));
-  result.centroids.assign(k, zero);
-
-  // Spectrum cache: each series' channel spectra are computed once per call
-  // in a deterministic disjoint-write pre-pass; centroid spectra are
-  // refreshed once per iteration below. Each mSBD assignment distance is
-  // then d inverse transforms instead of d forward + inverse pairs, within a
-  // tight tolerance of MultivariateSbd() (see core/sbd_engine.h).
-  const std::size_t fft_len = fft::NextPowerOfTwo(2 * m - 1);
-  std::vector<ChannelSpectra> series_cache(n);
-  common::ParallelFor(0, n, 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      series_cache[i] = MakeChannelSpectra(series[i], fft_len);
-    }
-  });
-  std::vector<ChannelSpectra> centroid_cache;
-
-  const std::function<double(int, std::size_t)> assignment_distance =
-      [&](int j, std::size_t i) {
-        return CachedMsbdDistance(centroid_cache[j], series_cache[i], m);
-      };
-  // Engine-free (fft_len = 0): no queries, no pruning, no shift record.
-  model::AssignerOptions assigner_options;
-  assigner_options.k = k;
-  assigner_options.num_series = n;
-  assigner_options.m = m;
-  model::Assigner assigner(assigner_options);
-
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    const std::vector<int> previous = result.assignments;
-
-    // Refinement.
-    const auto groups = cluster::GroupByCluster(result.assignments, k);
-    for (int j = 0; j < k; ++j) {
-      std::vector<MultivariateSeries> members;
-      members.reserve(groups[j].size());
-      for (std::size_t idx : groups[j]) members.push_back(series[idx]);
-      result.centroids[j] = ExtractMultivariateShape(
-          members, result.centroids[j], rng, options_.shape_options);
-    }
-    // k*d forward transforms per iteration; every centroid-to-series
-    // distance below reuses them as d inverse transforms.
-    centroid_cache.clear();
-    for (int j = 0; j < k; ++j) {
-      centroid_cache.push_back(MakeChannelSpectra(result.centroids[j], fft_len));
-    }
-
-    // Assignment: the univariate scan over the cached mSBD, engine-free.
-    assigner.AssignBlockWith(assignment_distance, 0, n, &result.assignments);
-
-    // Re-seed empty clusters from the farthest member of populated ones
-    // (shared policy — see RepairEmptyClusters for the tie-break contract).
-    result.empty_cluster_reseeds += cluster::RepairEmptyClusters(
-        k, &result.assignments, assignment_distance);
-
-    result.iterations = iter + 1;
-    if (result.assignments == previous) {
-      result.converged = true;
-      break;
+  result.assignments = std::move(fit.assignments);
+  for (const tseries::Series& centroid : fit.centroids) {
+    MultivariateSeries& out = result.centroids.emplace_back();
+    for (std::size_t c = 0; c < d; ++c) {
+      out.channels.emplace_back(centroid.begin() + c * m,
+                                centroid.begin() + (c + 1) * m);
     }
   }
-
-  // Flag final centroids that collapsed to zero norm in every channel while
-  // still holding members (all-constant clusters).
-  std::vector<std::size_t> sizes(k, 0);
-  for (int a : result.assignments) ++sizes[a];
-  for (int j = 0; j < k; ++j) {
-    if (sizes[j] > 0 && IsZeroNorm(result.centroids[j])) {
-      ++result.degenerate_centroids;
-    }
-  }
+  result.iterations = fit.iterations;
+  result.converged = fit.converged;
+  result.empty_cluster_reseeds = fit.empty_cluster_reseeds;
+  result.degenerate_centroids = cluster::CountDegenerateCentroids(fit);
   return result;
 }
 

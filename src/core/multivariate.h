@@ -46,9 +46,11 @@ struct MultivariateSbdResult {
 MultivariateSbdResult MultivariateSbd(const MultivariateSeries& x,
                                       const MultivariateSeries& y);
 
-/// Multivariate shape extraction: members are aligned to the reference with
-/// the common mSBD shift, then each channel's centroid is extracted with the
-/// univariate Algorithm 2. An all-zero reference skips alignment.
+/// Multivariate shape extraction: every channel of a member is shifted by its
+/// one common mSBD shift against the reference, then each channel's centroid
+/// is extracted with the univariate Algorithm 2, warm-started from that
+/// channel of the reference where it is nonzero. An all-zero reference skips
+/// alignment. MultivariateKShape refines by the same rule.
 MultivariateSeries ExtractMultivariateShape(
     const std::vector<MultivariateSeries>& members,
     const MultivariateSeries& reference, common::Rng* rng,
@@ -81,8 +83,10 @@ struct MultivariateKShapeOptions {
   ShapeExtractionOptions shape_options;
 };
 
-/// k-Shape over multivariate series: Algorithm 3 with mSBD assignments and
-/// per-channel shape extraction refinement.
+/// k-Shape over multivariate series: ClusterBatch (the one Algorithm 3 loop,
+/// pruning included) over channel-major rows, with mSBD assignments and
+/// per-channel shape extraction. One channel is KShape with random
+/// initialization, bit for bit.
 class MultivariateKShape {
  public:
   explicit MultivariateKShape(MultivariateKShapeOptions options = {});

@@ -21,27 +21,42 @@ namespace {
 // abs_product_partial_sums kernel contract (16 elements per band).
 constexpr std::size_t kBoundCheckpoint = 16;
 
-// Fills one weighted magnitude plane mag[k] = sqrt(w_k |X_k|^2) over the
-// packed bins (w = 2 on interior bins whose conjugate mirror was folded in,
-// 1 on DC and — for even fft_len — Nyquist), then the checkpointed suffix
-// norms tail[c] = sqrt(Σ_{k >= 16c} mag[k]^2). Sequential per series, so the
-// plane contents are a fixed arithmetic sequence regardless of thread count.
-// `bin(k)` returns the packed bin (re, im).
-template <typename BinFn>
-void FillBoundPlane(std::size_t fft_len, std::size_t bins, std::size_t ntail,
-                    BinFn bin, double* mag, double* tail) {
+// Bin k of one channel's spectrum, packed half or full complex, as (re, im).
+std::pair<double, double> Bin(const fft::RfftView& v, std::size_t k) {
+  return {v.re[k], v.im[k]};
+}
+std::pair<double, double> Bin(const std::vector<fft::Complex>& s,
+                              std::size_t k) {
+  return {s[k].real(), s[k].imag()};
+}
+
+// Fills one weighted magnitude plane, channel after channel: mag[c·B + k] =
+// sqrt(w_k |X_c,k|^2) over the B packed bins of each of the C channels (w = 2
+// on interior bins whose conjugate mirror was folded in, 1 on DC and — for
+// even fft_len — Nyquist), then the checkpointed suffix norms over the whole
+// concatenation, tail[t] = sqrt(Σ_{u >= 16t} mag[u]^2). Sequential per
+// series, so the plane contents are a fixed arithmetic sequence regardless
+// of thread count. `channel(c)` returns channel c's spectrum.
+template <typename ChannelFn>
+void FillBoundPlane(std::size_t fft_len, std::size_t channels,
+                    ChannelFn channel, double* mag, double* tail) {
+  const std::size_t bins = fft::RfftBins(fft_len);
+  const std::size_t ntail = channels * bins / kBoundCheckpoint + 1;
   const bool has_nyquist = (fft_len % 2 == 0) && bins >= 2;
-  for (std::size_t k = 0; k < bins; ++k) {
-    const auto [br, bi] = bin(k);
-    const double w = (k == 0 || (has_nyquist && k == bins - 1)) ? 1.0 : 2.0;
-    mag[k] = std::sqrt(w * (br * br + bi * bi));
+  for (std::size_t c = 0; c < channels; ++c) {
+    const auto& spectrum = channel(c);
+    for (std::size_t k = 0; k < bins; ++k) {
+      const auto [br, bi] = Bin(spectrum, k);
+      const double w = (k == 0 || (has_nyquist && k == bins - 1)) ? 1.0 : 2.0;
+      mag[c * bins + k] = std::sqrt(w * (br * br + bi * bi));
+    }
   }
   double energy = 0.0;
-  std::size_t k = bins;
-  for (std::size_t c = ntail; c-- > 0;) {
-    const std::size_t lo = kBoundCheckpoint * c;
-    for (; k > lo; --k) energy += mag[k - 1] * mag[k - 1];
-    tail[c] = std::sqrt(energy);
+  std::size_t u = channels * bins;
+  for (std::size_t t = ntail; t-- > 0;) {
+    const std::size_t lo = kBoundCheckpoint * t;
+    for (; u > lo; --u) energy += mag[u - 1] * mag[u - 1];
+    tail[t] = std::sqrt(energy);
   }
 }
 
@@ -108,24 +123,21 @@ simd::Peak PeakScanWithAbandon(const std::vector<double>& cc) {
   return best;
 }
 
-// Peak of the raw cross-correlation of two cached full-complex spectra. The
-// cc buffer is thread_local so concurrent per-pair evaluations write
-// disjoint scratch.
-simd::Peak PeakFromSpectra(const std::vector<fft::Complex>& x_spectrum,
-                           const std::vector<fft::Complex>& y_spectrum,
-                           std::size_t m) {
+// Peak of Σ_c cc_c, where `channel_cc(c, &cc)` fills channel c's lags (one
+// inverse transform), summed lag by lag in channel order. The buffers are
+// thread_local so concurrent per-pair evaluations never share them.
+template <typename ChannelCc>
+simd::Peak SummedPeak(std::size_t channels, const ChannelCc& channel_cc) {
   static thread_local std::vector<double> cc;
-  fft::CrossCorrelationFromSpectra(x_spectrum, y_spectrum, m, &cc);
-  return PeakScanWithAbandon(cc);
-}
-
-// Half-spectrum counterpart: SoA multiply-conjugate + one inverse real
-// transform on the caller-supplied (batch-amortized) plan.
-simd::Peak PeakFromRfft(const fft::RfftPlan& plan, const fft::RfftView& x,
-                        const fft::RfftView& y, std::size_t m) {
-  static thread_local std::vector<double> cc;
-  fft::CrossCorrelationFromRfft(plan, x, y, m, &cc);
-  return PeakScanWithAbandon(cc);
+  channel_cc(0, &cc);
+  if (channels == 1) return PeakScanWithAbandon(cc);
+  static thread_local std::vector<double> total;
+  total.assign(cc.begin(), cc.end());
+  for (std::size_t c = 1; c < channels; ++c) {
+    channel_cc(c, &cc);
+    for (std::size_t t = 0; t < total.size(); ++t) total[t] += cc[t];
+  }
+  return PeakScanWithAbandon(total);
 }
 
 common::EnvGate g_pruning{"KSHAPE_PRUNE"};
@@ -152,11 +164,14 @@ void ResetPeakScanStatsForTesting() {
 
 SbdEngine::SbdEngine(const tseries::SeriesBatch& series,
                      CrossCorrelationImpl impl, bool use_half_spectrum,
-                     bool build_bound_planes) {
+                     bool build_bound_planes, std::size_t channels) {
   KSHAPE_CHECK(!series.empty());
   KSHAPE_CHECK_MSG(impl != CrossCorrelationImpl::kNaive,
                    "SbdEngine caches spectra; the naive path has none");
-  m_ = series.length();
+  KSHAPE_CHECK_MSG(channels >= 1 && series.length() % channels == 0,
+                   "row length is not a whole number of channels");
+  channels_ = channels;
+  m_ = series.length() / channels;
   KSHAPE_CHECK(m_ >= 1);
   fft_len_ = impl == CrossCorrelationImpl::kFft
                  ? fft::NextPowerOfTwo(2 * m_ - 1)
@@ -168,41 +183,42 @@ SbdEngine::SbdEngine(const tseries::SeriesBatch& series,
   if (half_) {
     // One plan lookup for the whole batch, one contiguous SoA pool for all
     // spectra: the pre-pass below only runs transforms into disjoint slots.
-    batch_.emplace(n, fft_len_);
+    batch_.emplace(n * channels_, fft_len_);
   } else {
-    spectra_.resize(n);
+    spectra_.resize(n * channels_);
   }
   if (build_bound_planes) {
-    bound_bins_ = fft::RfftBins(fft_len_);
+    bound_bins_ = channels_ * fft::RfftBins(fft_len_);
     bound_tails_ = bound_bins_ / kBoundCheckpoint + 1;
     mags_.resize(n * bound_bins_);
     tails_.resize(n * bound_tails_);
   }
   // Deterministic pre-pass: each index writes only its own spectrum/norm
-  // slot, and each per-series FFT is a fixed arithmetic sequence, so the
+  // slots, and each per-channel FFT is a fixed arithmetic sequence, so the
   // cache contents are bit-identical at every thread count.
   common::ParallelFor(0, n, 1, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      if (half_) {
-        batch_->Transform(i, series[i]);
-      } else {
-        spectra_[i] = fft::Spectrum(series[i], fft_len_);
+      const std::size_t slot = i * channels_;  // Channel 0 of series i.
+      for (std::size_t c = 0; c < channels_; ++c) {
+        const tseries::SeriesView channel = series[i].subspan(c * m_, m_);
+        if (half_) {
+          batch_->Transform(slot + c, channel);
+        } else {
+          spectra_[slot + c] = fft::Spectrum(channel, fft_len_);
+        }
       }
       norms_[i] = linalg::Norm(series[i]);
       if (build_bound_planes) {
         double* mag = mags_.data() + i * bound_bins_;
         double* tail = tails_.data() + i * bound_tails_;
         if (half_) {
-          const fft::RfftView v = batch_->view(i);
-          FillBoundPlane(
-              fft_len_, bound_bins_, bound_tails_,
-              [&](std::size_t k) { return std::pair(v.re[k], v.im[k]); }, mag,
-              tail);
+          FillBoundPlane(fft_len_, channels_,
+                         [&](std::size_t c) { return batch_->view(slot + c); },
+                         mag, tail);
         } else {
-          const std::vector<fft::Complex>& s = spectra_[i];
           FillBoundPlane(
-              fft_len_, bound_bins_, bound_tails_,
-              [&](std::size_t k) { return std::pair(s[k].real(), s[k].imag()); },
+              fft_len_, channels_,
+              [&](std::size_t c) -> const auto& { return spectra_[slot + c]; },
               mag, tail);
         }
       }
@@ -211,39 +227,41 @@ SbdEngine::SbdEngine(const tseries::SeriesBatch& series,
 }
 
 SbdEngine::Query SbdEngine::MakeQuery(tseries::SeriesView q) const {
-  return MakeQueryFor(q, m_, fft_len_, half_, has_bound_planes());
+  return MakeQueryFor(q, m_, fft_len_, half_, has_bound_planes(), channels_);
 }
 
 SbdEngine::Query SbdEngine::MakeQueryFor(tseries::SeriesView q, std::size_t m,
                                          std::size_t fft_len,
                                          bool use_half_spectrum,
-                                         bool build_bound_planes) {
-  KSHAPE_CHECK_MSG(q.size() == m, "query length mismatch");
+                                         bool build_bound_planes,
+                                         std::size_t channels) {
+  KSHAPE_CHECK(m >= 1 && channels >= 1);
+  KSHAPE_CHECK_MSG(q.size() == channels * m, "query length mismatch");
   KSHAPE_CHECK(fft_len >= 2 * m - 1);
   Query query;
-  if (use_half_spectrum) {
-    query.rspectrum = fft::RfftForward(q, fft_len);
-  } else {
-    query.spectrum = fft::Spectrum(q, fft_len);
+  for (std::size_t c = 0; c < channels; ++c) {
+    const tseries::SeriesView channel = q.subspan(c * m, m);
+    if (use_half_spectrum) {
+      query.rspectrum.push_back(fft::RfftForward(channel, fft_len));
+    } else {
+      query.spectrum.push_back(fft::Spectrum(channel, fft_len));
+    }
   }
   query.norm = linalg::Norm(q);
   if (build_bound_planes) {
     // Same derived plane geometry as the engine constructor.
-    const std::size_t bins = fft::RfftBins(fft_len);
-    const std::size_t ntail = bins / kBoundCheckpoint + 1;
+    const std::size_t bins = channels * fft::RfftBins(fft_len);
     query.mag.resize(bins);
-    query.tail.resize(ntail);
+    query.tail.resize(bins / kBoundCheckpoint + 1);
     if (use_half_spectrum) {
-      const fft::RfftView v = query.rspectrum.view();
       FillBoundPlane(
-          fft_len, bins, ntail,
-          [&](std::size_t k) { return std::pair(v.re[k], v.im[k]); },
+          fft_len, channels,
+          [&](std::size_t c) { return query.rspectrum[c].view(); },
           query.mag.data(), query.tail.data());
     } else {
-      const std::vector<fft::Complex>& s = query.spectrum;
       FillBoundPlane(
-          fft_len, bins, ntail,
-          [&](std::size_t k) { return std::pair(s[k].real(), s[k].imag()); },
+          fft_len, channels,
+          [&](std::size_t c) -> const auto& { return query.spectrum[c]; },
           query.mag.data(), query.tail.data());
     }
   }
@@ -251,22 +269,30 @@ SbdEngine::Query SbdEngine::MakeQueryFor(tseries::SeriesView q, std::size_t m,
 }
 
 simd::Peak SbdEngine::RawPeak(std::size_t i, std::size_t j) const {
-  if (half_) {
-    return PeakFromRfft(batch_->plan(), batch_->view(i), batch_->view(j), m_);
-  }
-  return PeakFromSpectra(spectra_[i], spectra_[j], m_);
+  return SummedPeak(channels_, [&](std::size_t c, std::vector<double>* cc) {
+    const std::size_t x = i * channels_ + c, y = j * channels_ + c;
+    if (half_) {
+      fft::CrossCorrelationFromRfft(batch_->plan(), batch_->view(x),
+                                    batch_->view(y), m_, cc);
+    } else {
+      fft::CrossCorrelationFromSpectra(spectra_[x], spectra_[y], m_, cc);
+    }
+  });
 }
 
 simd::Peak SbdEngine::RawPeak(const Query& q, std::size_t i) const {
-  if (half_) {
-    KSHAPE_CHECK_MSG(q.rspectrum.fft_len == fft_len_,
-                     "query minted by a different engine configuration");
-    return PeakFromRfft(batch_->plan(), q.rspectrum.view(), batch_->view(i),
-                        m_);
-  }
-  KSHAPE_CHECK_MSG(q.spectrum.size() == fft_len_,
-                   "query minted by a different engine configuration");
-  return PeakFromSpectra(q.spectrum, spectra_[i], m_);
+  KSHAPE_CHECK_MSG(
+      (half_ ? q.rspectrum.size() : q.spectrum.size()) == channels_,
+      "query minted by a different engine configuration");
+  return SummedPeak(channels_, [&](std::size_t c, std::vector<double>* cc) {
+    const std::size_t y = i * channels_ + c;
+    if (half_) {
+      fft::CrossCorrelationFromRfft(batch_->plan(), q.rspectrum[c].view(),
+                                    batch_->view(y), m_, cc);
+    } else {
+      fft::CrossCorrelationFromSpectra(q.spectrum[c], spectra_[y], m_, cc);
+    }
+  });
 }
 
 double SbdEngine::Distance(std::size_t i, std::size_t j) const {

@@ -83,29 +83,39 @@ void ResetPeakScanStatsForTesting();
 /// kernel and a candidate abandons as soon as its partial-sum bound falls
 /// below the caller's cutoff (DistanceWithAbandon / Nearest).
 ///
+/// Channels: a series may be one channel-major row of C channels of length m
+/// that shift together. Its norm is sqrt(Σ_c ‖x_c‖²) and its
+/// cross-correlation is the channel sequences summed lag by lag (C inverses
+/// per pair): MultivariateSbd, cached. The bound plane concatenates the C
+/// channel planes, so the Σ_c bound is still one dot product.
+///
 /// Thread-safety: immutable after construction; all const members may be
 /// called concurrently (per-pair scratch is thread_local inside src/fft).
 class SbdEngine {
  public:
-  /// Builds spectra and norms for `series`. All series must share one length
-  /// m >= 1. `impl` selects the padding: kFft transforms at the next power of
-  /// two >= 2m-1, kFftNoPow2 at exactly 2m-1 (Bluestein, whose chirp plan is
-  /// cached per length). kNaive has no spectra and is rejected.
+  /// Builds spectra and norms for `series`, rows of `channels` channels of
+  /// one length m >= 1. `impl` selects the padding: kFft transforms at the
+  /// next power of two >= 2m-1, kFftNoPow2 at exactly 2m-1 (Bluestein, whose
+  /// chirp plan is cached per length). kNaive has no spectra and is rejected.
   /// `use_half_spectrum` selects the packed SoA cache (default: the
   /// process-wide gate, i.e. on unless KSHAPE_HALF_SPECTRUM=off).
   /// `build_bound_planes` additionally precomputes the magnitude/suffix
-  /// planes for the spectral NCC bound (8·(N/2) bytes per series; off by
+  /// planes for the spectral NCC bound (8·C·(N/2) bytes per series; off by
   /// default so non-pruning users keep the PR 6 memory footprint).
   explicit SbdEngine(const tseries::SeriesBatch& series,
                      CrossCorrelationImpl impl = CrossCorrelationImpl::kFft,
                      bool use_half_spectrum = fft::HalfSpectrumEnabled(),
-                     bool build_bound_planes = false);
+                     bool build_bound_planes = false,
+                     std::size_t channels = 1);
 
   /// Number of cached series.
   std::size_t size() const { return norms_.size(); }
 
-  /// The common series length m.
+  /// The common channel length m (a row holds channels() · m values).
   std::size_t series_length() const { return m_; }
+
+  /// Channels per series, C.
+  std::size_t channels() const { return channels_; }
 
   /// The padded transform length.
   std::size_t fft_length() const { return fft_len_; }
@@ -119,31 +129,33 @@ class SbdEngine {
   /// Spectrum + norm of an out-of-set series (e.g. a k-Shape centroid),
   /// computed once and reusable against every cached series. Exactly one of
   /// `spectrum` (full-complex mode) / `rspectrum` (half-spectrum mode) is
-  /// populated, matching the engine that minted it. `mag`/`tail` (the
-  /// query-side planes of the spectral bound) are filled only when the
-  /// engine was built with bound planes.
+  /// populated, one spectrum per channel, matching the engine that minted
+  /// it. `mag`/`tail` (the query-side planes of the spectral bound) are
+  /// filled only when the engine was built with bound planes.
   struct Query {
-    std::vector<fft::Complex> spectrum;
-    fft::RfftSpectrum rspectrum;
+    std::vector<std::vector<fft::Complex>> spectrum;
+    std::vector<fft::RfftSpectrum> rspectrum;
     double norm = 0.0;
     std::vector<double> mag;
     std::vector<double> tail;
   };
 
-  /// One forward transform + one norm. Requires q.size() == series_length().
+  /// C forward transforms + one norm. Requires q.size() == channels() ·
+  /// series_length().
   Query MakeQuery(tseries::SeriesView q) const;
 
-  /// Mints a Query from the engine *configuration* alone — series length,
-  /// padded transform length, spectrum layout, bound planes — with no engine
-  /// instance. The query arithmetic depends only on that configuration, so a
-  /// query minted here is interchangeable bit for bit with MakeQuery() on
-  /// any engine sharing it. The sharded clustering driver relies on this:
-  /// each centroid's query is minted once per iteration and reused against
-  /// every per-shard engine (all of which share one configuration, because
-  /// fft_len is a function of m alone).
+  /// Mints a Query from the engine *configuration* alone — channel length,
+  /// padded transform length, spectrum layout, bound planes, channels — with
+  /// no engine instance. The query arithmetic depends only on that
+  /// configuration, so a query minted here is interchangeable bit for bit
+  /// with MakeQuery() on any engine sharing it. core::ClusterBlocks relies
+  /// on this: each centroid's query is minted once per iteration and reused
+  /// against every per-shard engine (all of which share one configuration,
+  /// because fft_len is a function of m alone).
   static Query MakeQueryFor(tseries::SeriesView q, std::size_t m,
                             std::size_t fft_len, bool use_half_spectrum,
-                            bool build_bound_planes);
+                            bool build_bound_planes,
+                            std::size_t channels = 1);
 
   /// SBD(series[i], series[j]) from cached spectra: one inverse transform.
   /// Mirrors Sbd()'s zero-norm convention (distance 1).
@@ -198,8 +210,8 @@ class SbdEngine {
   static constexpr double kDefaultBoundSlack = 1e-9;
 
  private:
-  // Peak of the raw cross-correlation of cached entry i against entry j /
-  // query q, routed through whichever spectrum layout the engine holds.
+  // Peak of the channel-summed raw cross-correlation of cached entry i
+  // against entry j / query q, in the engine's spectrum layout.
   simd::Peak RawPeak(std::size_t i, std::size_t j) const;
   simd::Peak RawPeak(const Query& q, std::size_t i) const;
 
@@ -209,9 +221,11 @@ class SbdEngine {
   }
 
   std::size_t m_ = 0;
+  std::size_t channels_ = 1;
   std::size_t fft_len_ = 0;
   bool half_ = false;
-  // Full-complex layout (PR 5): one spectrum vector per series.
+  // Full-complex layout: one spectrum vector per slot; slot i·C + c holds
+  // channel c of series i in either layout.
   std::vector<std::vector<fft::Complex>> spectra_;
   // Packed half-spectrum layout: contiguous SoA pool + its amortized plan.
   std::optional<fft::BatchSpectra> batch_;

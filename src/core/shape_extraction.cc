@@ -49,9 +49,10 @@ void CenterGramInPlace(linalg::Matrix* s_ptr) {
 }  // namespace
 
 ShapeAccumulator::ShapeAccumulator(tseries::SeriesView reference,
-                                   const ShapeExtractionOptions& /*options*/)
+                                   const ShapeExtractionOptions& /*options*/,
+                                   std::optional<bool> align)
     : reference_(reference.begin(), reference.end()),
-      align_(linalg::Norm(reference) > 0.0),
+      align_(align.value_or(linalg::Norm(reference) > 0.0)),
       mean_(reference.size(), 0.0) {
   KSHAPE_CHECK_MSG(!reference_.empty(), "empty shape-extraction reference");
 }
@@ -131,8 +132,9 @@ ExtractedShape ShapeAccumulator::FinishDense(
   if (options.use_power_iteration) {
     // Warm start: the alignment reference (the previous centroid) is close
     // to the new dominant eigenvector once the clustering begins to settle,
-    // so seeding with it saves most of the power-iteration steps. `align_`
-    // already certifies a nonzero reference.
+    // so seeding with it saves most of the power-iteration steps. A zero
+    // reference (a zero channel aligned with its centroid) gives the
+    // eigensolver a zero seed, which it replaces with the random start.
     std::vector<double> seed;
     if (options.warm_start && align_) {
       seed.assign(reference_.begin(), reference_.end());

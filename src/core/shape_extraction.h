@@ -2,6 +2,7 @@
 #define KSHAPE_CORE_SHAPE_EXTRACTION_H_
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "common/random.h"
@@ -124,10 +125,13 @@ class ShapeAccumulator {
  public:
   /// `reference` must be non-empty; its length fixes the member length. A
   /// zero-norm reference (the all-zero initial centroid) disables alignment,
-  /// as in ExtractShape. `options` is accepted for symmetry with Finish,
-  /// which is where it takes effect.
+  /// as in ExtractShape, unless `align` says otherwise: a channel of a
+  /// multichannel centroid aligns whenever the whole centroid is nonzero.
+  /// Only a nonzero reference warm-starts. `options` is accepted for
+  /// symmetry with Finish, which is where it takes effect.
   explicit ShapeAccumulator(tseries::SeriesView reference,
-                            const ShapeExtractionOptions& options = {});
+                            const ShapeExtractionOptions& options = {},
+                            std::optional<bool> align = std::nullopt);
 
   /// Pre-sizes the pool for `members` more Add() calls, so it is allocated
   /// once instead of growing row by row. Changes no result.

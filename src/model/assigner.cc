@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <optional>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -13,6 +14,11 @@
 namespace kshape::model {
 
 namespace {
+
+// The movement bounds' rounding guard in SBD units (DESIGN.md, "Movement
+// bounds"): the triangle inequality holds exactly in real arithmetic, and
+// the computed SBDs carry a few ulps, about 1e-8 after the square root.
+constexpr double kPruneMargin = 1e-6;
 
 // Same grain as the historical assignment/seeding scans: the per-index work
 // dwarfs chunk claiming at 16. Chunking does not affect results (disjoint
@@ -109,22 +115,32 @@ void Assigner::BeginIteration(const tseries::SeriesBatch& centroids) {
     for (int j = 0; j < options_.k; ++j) {
       queries_.push_back(core::SbdEngine::MakeQueryFor(
           centroids[j], options_.m, options_.fft_len, half_,
-          /*build_bound_planes=*/pruning_));
+          /*build_bound_planes=*/pruning_, options_.channels));
     }
   }
 
-  // Centroid-shift distances for the movement bounds: k direct SBDs (old vs
-  // new centroid), outside the n·k assignment counters. Hamerly max1/max2:
-  // lb shrinks by the largest shift, or the second-largest when the owner
+  // Centroid-shift distances for the movement bounds: k SBDs (old vs new
+  // centroid), outside the n·k assignment counters — direct Sbd() calls for
+  // one channel; for several, the channel-summed SBD of an engine over the
+  // old centroids against this iteration's queries. Hamerly max1/max2: lb
+  // shrinks by the largest shift, or the second-largest when the owner
   // itself moved most.
   use_bounds_iter_ = bounds_valid_;
   max_shift1_ = 0.0;
   max_shift2_ = 0.0;
   max_shift_arg_ = -1;
   if (use_bounds_iter_) {
+    std::optional<core::SbdEngine> previous;
+    if (options_.channels > 1) {
+      previous.emplace(tseries::SeriesBatch(prev_centroids_),
+                       core::CrossCorrelationImpl::kFft, half_,
+                       /*build_bound_planes=*/false, options_.channels);
+      KSHAPE_CHECK(previous->fft_length() == options_.fft_len);
+    }
     for (int j = 0; j < options_.k; ++j) {
       const double d =
-          core::Sbd(prev_centroids_[j], centroids[j]).distance;
+          previous ? previous->Distance(queries_[j], j)
+                   : core::Sbd(prev_centroids_[j], centroids[j]).distance;
       shift_r_[j] = std::sqrt(std::max(0.0, d));
     }
     for (int j = 0; j < options_.k; ++j) {
@@ -146,7 +162,6 @@ void Assigner::ScanIndex(const Dist& dist, std::size_t i, std::size_t row,
                          std::vector<int>* shifts,
                          AssignmentIterationStats* counts) {
   const int k = options_.k;
-  const double margin = options_.prune_margin;
   const int owner = (*assignments)[i];
   long long comp = 0, pruned = 0, aband = 0;
   bool scanned = true;
@@ -163,14 +178,15 @@ void Assigner::ScanIndex(const Dist& dist, std::size_t i, std::size_t row,
     // real arithmetic:
     //   ub_r[i] >= sqrt(d(i, centroid of a_i))     (upper, owner distance)
     //   lb_r[i] <= sqrt(min_{j != a_i} d(i, c_j))  (lower, second-closest)
-    // Comparisons happen back in SBD units with the prune_margin slack,
-    // which only has to absorb floating-point rounding.
+    // Comparisons happen back in SBD units with the kPruneMargin slack,
+    // which only has to absorb floating-point rounding. All of this holds
+    // for the channel-summed SBD of several channels alike.
     ub_r_[i] += shift_r_[owner];
     lb_r_[i] -= owner == max_shift_arg_ ? max_shift2_ : max_shift1_;
     if (lb_r_[i] < 0.0) lb_r_[i] = 0.0;
     const double ub2 = ub_r_[i] * ub_r_[i];
     const double lb2 = lb_r_[i] * lb_r_[i];
-    if (ub2 + margin <= lb2) {
+    if (ub2 + kPruneMargin <= lb2) {
       // Whole-series prune: no centroid can take this series, and no
       // distance (so no shift) was computed for it.
       pruned = k;
@@ -181,7 +197,7 @@ void Assigner::ScanIndex(const Dist& dist, std::size_t i, std::size_t row,
       d_owner = dist.Exact(owner, row, &owner_shift);
       ++comp;
       ub_r_[i] = std::sqrt(std::max(0.0, d_owner));
-      if (d_owner + margin <= lb2) {
+      if (d_owner + kPruneMargin <= lb2) {
         pruned = k - 1;
         scanned = false;
       }

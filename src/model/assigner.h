@@ -1,8 +1,7 @@
 // The assign-series-to-centroids step, extracted into one implementation.
 //
 // Its callers: the k-Shape iteration driver (core::ClusterBlocks, for
-// in-memory and sharded runs alike), multivariate k-Shape
-// (core/multivariate.cc, engine-free), batch and online scoring
+// in-memory, sharded and multichannel runs alike), batch and online scoring
 // (model/fitted_model.h), and the classify-against-candidates path behind
 // the SBD BatchScanner (src/core/sbd.cc). The pruning layers — spectral
 // early-abandon NCC and the Hamerly-style movement bounds — and the
@@ -42,7 +41,7 @@
 //   - Engines are passed per block: an in-memory run passes one engine
 //     with base 0, a sharded run passes each shard's engine with the
 //     shard's global base row. All engines of one clustering run must share
-//     one configuration (m, fft_len, spectrum layout, bound planes) — the
+//     one configuration (m, C, fft_len, spectrum layout, bound planes) — the
 //     MakeQueryFor interchange contract — which is what makes the minted
 //     queries valid against every block.
 //   - The iteration protocol is: SnapshotCentroids (before refinement) →
@@ -95,7 +94,8 @@ struct NearestResult {
 struct AssignerOptions {
   int k = 0;                // number of centroids
   std::size_t num_series = 0;  // n: sizes the movement-bound cells
-  std::size_t m = 0;        // series length
+  std::size_t m = 0;        // channel length
+  std::size_t channels = 1;  // C: rows hold C·m values, channel-major
   // Padded transform length of the engines this run uses; 0 for engine-free
   // runs (custom assignment distances), which skip query minting and prune
   // nothing.
@@ -104,7 +104,6 @@ struct AssignerOptions {
   // series sees every centroid update, so the sampled driver leaves it off).
   // Effective only when pruning() is on.
   bool use_movement_bounds = false;
-  double prune_margin = 0.0;
 };
 
 class Assigner {
@@ -175,8 +174,6 @@ class Assigner {
   const std::vector<core::SbdEngine::Query>& queries() const {
     return queries_;
   }
-
-  bool bounds_valid() const { return bounds_valid_; }
 
   /// The gates pinned at construction: the spectrum layout the queries are
   /// minted in, and whether they carry bound planes (KSHAPE_PRUNE, off when

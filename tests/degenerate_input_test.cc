@@ -368,6 +368,38 @@ TEST(DegenerateMultivariateTest, ConstantChannelsClusterCleanly) {
       for (const double v : channel) EXPECT_TRUE(std::isfinite(v));
     }
   }
+
+  // One informative channel beside one constant channel (zero once
+  // z-normalized). A centroid with a nonzero informative channel aligns
+  // both channels of its members by one common shift, so the constant
+  // channel's accumulator aligns against a zero reference and starts cold;
+  // its members shift to zero and extract to the zero series.
+  common::Rng data_rng(43);
+  std::vector<core::MultivariateSeries> mixed;
+  for (int i = 0; i < 12; ++i) {
+    core::MultivariateSeries s =
+        MakeMv({data::MakeCbf(i % 3, 32, &data_rng), Series(32, 5.0)});
+    core::ZNormalizeMultivariate(&s);
+    mixed.push_back(std::move(s));
+  }
+  const auto mixed_result = algorithm.TryCluster(mixed, 3, &rng);
+  ASSERT_TRUE(mixed_result.ok()) << mixed_result.status().ToString();
+  ASSERT_EQ(mixed_result.value().assignments.size(), mixed.size());
+  for (const int label : mixed_result.value().assignments) {
+    EXPECT_GE(label, 0);
+    EXPECT_LT(label, 3);
+  }
+  int informative = 0;
+  for (const auto& centroid : mixed_result.value().centroids) {
+    ASSERT_EQ(centroid.num_channels(), 2u);
+    for (const double v : centroid.channels[0]) {
+      EXPECT_TRUE(std::isfinite(v));
+      if (v != 0.0) ++informative;
+    }
+    for (const double v : centroid.channels[1]) EXPECT_EQ(v, 0.0);
+  }
+  EXPECT_GT(informative, 0);
+  EXPECT_EQ(mixed_result.value().degenerate_centroids, 0);
 }
 
 }  // namespace

@@ -12,16 +12,20 @@
 //
 // On top of it: mini-batch mode is deterministic for a fixed seed across
 // threads / backends / shard geometry (the sample is drawn on the
-// coordinating thread), its telemetry partitions B*k on sampled iterations
-// and n*k on full passes, a batch of at least n forces the exact path, its
-// clustering quality tracks the exact run (ARI sweep over seeds and both
-// power-of-two and non-power-of-two lengths), and the TryCluster Status
+// coordinating thread), a sampled run aligns every member exactly as a fresh
+// NCC peak against its previous centroid would (the fit's shift record is
+// only a cache of those peaks), its telemetry partitions B*k on sampled
+// iterations and n*k on full passes, a batch of at least n forces the exact
+// path, its clustering quality tracks the exact run (ARI sweep over seeds and
+// both power-of-two and non-power-of-two lengths), and the TryCluster Status
 // boundary rejects malformed stores instead of aborting.
 
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <numeric>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,10 +38,12 @@
 #include "common/status.h"
 #include "core/kshape.h"
 #include "core/sbd_engine.h"
+#include "core/shape_extraction.h"
 #include "data/generators.h"
 #include "distance/euclidean.h"
 #include "eval/metrics.h"
 #include "fft/rfft.h"
+#include "model/assigner.h"
 #include "simd/dispatch.h"
 #include "store/sharded_store.h"
 #include "tseries/normalization.h"
@@ -382,6 +388,110 @@ TEST(MiniBatchKShapeTest, SampledIterationTelemetryPartitionsBatchTimesK) {
     EXPECT_EQ(result.iterations % 3 == 0 ||
                   result.iterations == options.max_iterations,
               true);
+  }
+}
+
+// An in-memory mini-batch k-Shape run written out from the public pieces
+// with no shift record: every refined member is aligned to its previous
+// centroid by a fresh SbdEngine::MaxNcc against that centroid's query.
+// ClusterBlocks records the winning peak's shift during assignment and
+// reuses it, so it must agree with this bit for bit — unless a record entry
+// outlives its centroid, as one written two passes back would.
+ClusteringResult FreshPeakMiniBatch(const core::KShapeOptions& options,
+                                    const std::vector<Series>& series, int k,
+                                    uint64_t seed) {
+  const std::size_t n = series.size();
+  common::Rng rng(seed);
+  const core::SbdEngine engine(series, core::CrossCorrelationImpl::kFft,
+                               fft::HalfSpectrumEnabled(),
+                               core::PruningEnabled());
+  model::AssignerOptions assigner_options;  // No movement bounds.
+  assigner_options.k = k;
+  assigner_options.num_series = n;
+  assigner_options.m = engine.series_length();
+  assigner_options.fft_len = engine.fft_length();
+  model::Assigner assigner(assigner_options);
+  ClusteringResult result;
+  result.assignments = cluster::RandomAssignments(n, k, &rng);
+  result.centroids.assign(k, Series(engine.series_length(), 0.0));
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    const std::vector<int> previous = result.assignments;
+    const bool full = (iter + 1) % options.refresh_period == 0 ||
+                      iter + 1 == options.max_iterations;
+    std::vector<std::size_t> rows(full ? n : 0);
+    std::iota(rows.begin(), rows.end(), std::size_t{0});
+    if (!full) {
+      // Floyd's sample, drawn as ClusterBlocks draws it.
+      std::set<std::size_t> chosen;
+      for (std::size_t t = n - options.minibatch_size; t < n; ++t) {
+        const auto r = static_cast<std::size_t>(
+            rng.UniformInt(static_cast<int>(t + 1)));
+        chosen.insert(chosen.count(r) ? t : r);
+      }
+      rows.assign(chosen.begin(), chosen.end());
+      result.sampled_series += static_cast<long long>(rows.size());
+    }
+    std::vector<core::ShapeAccumulator> accumulators;
+    for (int j = 0; j < k; ++j) {
+      accumulators.emplace_back(result.centroids[j], options.shape_options);
+    }
+    for (const std::size_t i : rows) {
+      const int j = result.assignments[i];
+      const int shift = accumulators[j].aligns()
+                            ? engine.MaxNcc(assigner.queries()[j], i).shift
+                            : 0;
+      accumulators[j].Add(series[i], shift);
+    }
+    for (int j = 0; j < k; ++j) {
+      if (!full && accumulators[j].members_added() == 0) continue;
+      result.centroids[j] =
+          accumulators[j].Finish(&rng, options.shape_options).centroid;
+    }
+    assigner.BeginIteration(result.centroids);
+    if (full) {
+      assigner.AssignBlock(engine, 0, &result.assignments);
+    } else {
+      assigner.AssignSample(engine, 0, rows, 0, rows.size(),
+                            &result.assignments);
+    }
+    const int reseeds = cluster::RepairEmptyClusters(
+        k, &result.assignments, [&](int j, std::size_t i) {
+          return engine.Distance(assigner.queries()[j], i);
+        });
+    result.empty_cluster_reseeds += reseeds;
+    assigner.FinishIteration(reseeds);
+    result.iterations = iter + 1;
+    if (full && result.assignments == previous) {
+      result.converged = true;
+      break;
+    }
+  }
+  return result;
+}
+
+TEST(MiniBatchKShapeTest, SampledPassesAlignLikeFreshPeaks) {
+  ConfigGuard guard;
+  // Three refresh periods of sampled passes on k = 4 noisy CBF: centroids
+  // move between consecutive sampled passes, and most rows sit out a pass,
+  // so rows scanned two passes back are refined after one they missed.
+  const std::size_t n = 48, m = 64;
+  const int k = 4;
+  core::KShapeOptions options;
+  options.minibatch_size = 16;
+  options.refresh_period = 4;
+  options.max_iterations = 12;
+  for (const uint64_t seed : {3u, 4u, 5u, 6u}) {
+    const std::vector<Series> series = MakeCorpus(n, m, 900 + seed);
+    const ClusteringResult fit = RunInMemory(options, series, k, seed);
+    const ClusteringResult fresh =
+        FreshPeakMiniBatch(options, series, k, seed);
+    EXPECT_GT(fit.sampled_series, 0);
+    EXPECT_EQ(fit.sampled_series, fresh.sampled_series);
+    EXPECT_EQ(fit.assignments, fresh.assignments) << "seed " << seed;
+    EXPECT_EQ(fit.centroids, fresh.centroids) << "seed " << seed;
+    EXPECT_EQ(fit.iterations, fresh.iterations) << "seed " << seed;
+    EXPECT_EQ(fit.converged, fresh.converged) << "seed " << seed;
+    EXPECT_EQ(fit.empty_cluster_reseeds, fresh.empty_cluster_reseeds);
   }
 }
 

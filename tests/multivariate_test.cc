@@ -1,12 +1,23 @@
 #include "core/multivariate.h"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cluster/algorithm.h"
+#include "common/parallel.h"
 #include "common/random.h"
+#include "core/kshape.h"
 #include "core/sbd.h"
+#include "core/sbd_engine.h"
+#include "data/generators.h"
 #include "eval/metrics.h"
+#include "fft/rfft.h"
+#include "linalg/matrix.h"
 #include "tseries/normalization.h"
 
 namespace kshape::core {
@@ -41,6 +52,51 @@ MultivariateSeries PhasedPair(double cycles, std::size_t m, common::Rng* rng,
   ZNormalizeMultivariate(&s);
   return s;
 }
+
+// The series as channel-major rows of d·m values, the layout SbdEngine and
+// core::ClusterBatch read.
+tseries::SeriesStore Pack(const std::vector<MultivariateSeries>& series) {
+  tseries::SeriesStore rows;
+  for (const MultivariateSeries& s : series) {
+    Series row;
+    for (const Series& channel : s.channels) {
+      row.insert(row.end(), channel.begin(), channel.end());
+    }
+    rows.Append(row);
+  }
+  return rows;
+}
+
+// Two-channel CBF instances whose channels carry different classes.
+std::vector<MultivariateSeries> TwoChannelCbf(std::size_t n, std::size_t m,
+                                              uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<MultivariateSeries> series;
+  for (std::size_t i = 0; i < n; ++i) {
+    MultivariateSeries s;
+    s.channels.push_back(tseries::ZNormalized(
+        data::MakeCbf(static_cast<int>(i % 3), m, &rng)));
+    s.channels.push_back(tseries::ZNormalized(
+        data::MakeCbf(static_cast<int>((i + 1) % 3), m, &rng)));
+    series.push_back(std::move(s));
+  }
+  return series;
+}
+
+// Restores the process-wide pruning and spectrum-layout gates on exit.
+class GateGuard {
+ public:
+  GateGuard()
+      : prune_(PruningEnabled()), half_(fft::HalfSpectrumEnabled()) {}
+  ~GateGuard() {
+    SetPruningEnabledForTesting(prune_);
+    fft::SetHalfSpectrumEnabledForTesting(half_);
+  }
+
+ private:
+  bool prune_;
+  bool half_;
+};
 
 TEST(MultivariateSbdTest, SelfDistanceIsZero) {
   common::Rng rng(1);
@@ -141,6 +197,235 @@ TEST(ExtractMultivariateShapeTest, EmptyClusterGivesZeros) {
   for (const auto& channel : centroid.channels) {
     for (double v : channel) EXPECT_DOUBLE_EQ(v, 0.0);
   }
+}
+
+// A multichannel SbdEngine is the cached MultivariateSbd: distances and peak
+// values within 1e-9, the same common shift, and a spectral bound (over the
+// concatenated channel planes) that never falls below the channel-summed
+// peak — on power-of-two and Bluestein lengths, in both spectrum layouts.
+void ExpectEngineMatchesMultivariateSbd(std::size_t d, std::size_t m,
+                                        CrossCorrelationImpl impl,
+                                        bool half) {
+  common::Rng rng(31 * m + d);
+  std::vector<MultivariateSeries> series;
+  for (int i = 0; i < 9; ++i) series.push_back(RandomMv(d, m, &rng));
+  const tseries::SeriesStore rows = Pack(series);
+  const SbdEngine engine(rows, impl, half, /*build_bound_planes=*/true, d);
+  ASSERT_EQ(engine.channels(), d);
+  ASSERT_EQ(engine.series_length(), m);
+  const MultivariateSeries query = RandomMv(d, m, &rng);
+  const SbdEngine::Query q = engine.MakeQuery(Pack({query})[0]);
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    const std::string where = "d=" + std::to_string(d) +
+                              " m=" + std::to_string(m) +
+                              " half=" + std::to_string(half) +
+                              " i=" + std::to_string(i);
+    const MultivariateSbdResult oracle = MultivariateSbd(query, series[i]);
+    int shift = 0;
+    EXPECT_NEAR(engine.Distance(q, i, &shift), oracle.distance, 1e-9)
+        << where;
+    EXPECT_EQ(shift, oracle.shift) << where;
+    const NccPeak peak = engine.MaxNcc(q, i);
+    EXPECT_NEAR(peak.value, 1.0 - oracle.distance, 1e-9) << where;
+    EXPECT_EQ(peak.shift, oracle.shift) << where;
+    EXPECT_GE(engine.NccUpperBound(q, i) + SbdEngine::kDefaultBoundSlack,
+              peak.value)
+        << where;
+    bool abandoned = true;
+    EXPECT_EQ(engine.DistanceWithAbandon(
+                  q, i, std::numeric_limits<double>::infinity(), &abandoned),
+              engine.Distance(q, i))
+        << where;
+    EXPECT_FALSE(abandoned) << where;
+    for (std::size_t j = 0; j < series.size(); ++j) {
+      EXPECT_NEAR(engine.Distance(i, j),
+                  MultivariateSbd(series[i], series[j]).distance, 1e-9)
+          << where << " j=" << j;
+    }
+  }
+}
+
+TEST(MultichannelEngineTest, MatchesMultivariateSbdPowerOfTwoLengths) {
+  for (const bool half : {true, false}) {
+    for (const std::size_t m : {16u, 40u, 64u}) {
+      ExpectEngineMatchesMultivariateSbd(3, m, CrossCorrelationImpl::kFft,
+                                         half);
+    }
+    ExpectEngineMatchesMultivariateSbd(1, 40, CrossCorrelationImpl::kFft,
+                                       half);
+  }
+}
+
+TEST(MultichannelEngineTest, MatchesMultivariateSbdBluesteinLengths) {
+  for (const bool half : {true, false}) {
+    for (const std::size_t m : {17u, 33u, 50u}) {
+      ExpectEngineMatchesMultivariateSbd(2, m,
+                                         CrossCorrelationImpl::kFftNoPow2,
+                                         half);
+    }
+  }
+}
+
+// Multichannel k-Shape inherits the pruning layers: the gate changes no
+// label, no centroid bit and no iteration count, the telemetry partitions
+// n·k pairs every iteration, and the movement bounds, which rest on the
+// channel-summed centroid-shift distances, actually prune.
+TEST(MultivariateKShapeTest, PruningGateChangesNothingButTheWork) {
+  GateGuard gate_guard;
+  const int k = 3;
+  long long pruned_bounds = 0;
+  for (const uint64_t seed : {5u, 6u, 7u}) {
+    const std::vector<MultivariateSeries> series =
+        TwoChannelCbf(60, 48, 700 + seed);
+    const tseries::SeriesStore rows = Pack(series);
+    const std::size_t n = series.size();
+    KShapeOptions options;
+    SetPruningEnabledForTesting(true);
+    common::Rng rng_a(seed);
+    const cluster::ClusteringResult pruned =
+        ClusterBatch(options, rows, 2, k, &rng_a, "pruned");
+    SetPruningEnabledForTesting(false);
+    common::Rng rng_b(seed);
+    const cluster::ClusteringResult exact =
+        ClusterBatch(options, rows, 2, k, &rng_b, "exact");
+    EXPECT_EQ(pruned.assignments, exact.assignments) << "seed " << seed;
+    EXPECT_EQ(pruned.centroids, exact.centroids) << "seed " << seed;
+    EXPECT_EQ(pruned.iterations, exact.iterations) << "seed " << seed;
+    EXPECT_EQ(pruned.converged, exact.converged) << "seed " << seed;
+    ASSERT_EQ(pruned.assignment_stats.size(),
+              static_cast<std::size_t>(pruned.iterations));
+    for (const cluster::AssignmentIterationStats& s :
+         pruned.assignment_stats) {
+      EXPECT_EQ(s.computed + s.pruned_bounds + s.abandoned_partial,
+                static_cast<long long>(n) * k);
+      pruned_bounds += s.pruned_bounds;
+    }
+    for (const cluster::AssignmentIterationStats& s : exact.assignment_stats) {
+      EXPECT_EQ(s.computed, static_cast<long long>(n) * k);
+    }
+    // Multichannel results carry no FittedModel.
+    EXPECT_TRUE(pruned.model.empty());
+  }
+  EXPECT_GT(pruned_bounds, 0);
+}
+
+// One channel is univariate k-Shape: MultivariateKShape runs the one
+// Algorithm 3 loop, so it must equal KShape with random-assignment init bit
+// for bit — labels, centroids, iterations, convergence and reseeds — at any
+// thread count. The k = 8, n = 12 corpus empties clusters, so repair runs.
+TEST(MultivariateKShapeTest, OneChannelMatchesKShapeBitwise) {
+  const int saved_threads = common::ThreadCount();
+  struct Corpus {
+    std::size_t n, m;
+    int k;
+    uint64_t seed;
+  };
+  int reseeds = 0;
+  for (const Corpus corpus : {Corpus{45, 64, 3, 9}, Corpus{12, 31, 8, 303}}) {
+    std::vector<Series> univariate;
+    std::vector<MultivariateSeries> series;
+    common::Rng data_rng(corpus.seed);
+    for (std::size_t i = 0; i < corpus.n; ++i) {
+      univariate.push_back(tseries::ZNormalized(
+          data::MakeCbf(static_cast<int>(i % 3), corpus.m, &data_rng)));
+      series.push_back(MultivariateSeries{{univariate.back()}});
+    }
+    KShapeOptions options;
+    options.init = KShapeInit::kRandomAssignment;
+    for (const int threads : {1, 4}) {
+      common::SetThreadCount(threads);
+      common::Rng rng_a(corpus.seed + 1);
+      common::Rng rng_b(corpus.seed + 1);
+      const cluster::ClusteringResult a =
+          KShape(options).Cluster(univariate, corpus.k, &rng_a);
+      const MultivariateClusteringResult b =
+          MultivariateKShape().Cluster(series, corpus.k, &rng_b);
+      EXPECT_EQ(a.assignments, b.assignments) << "threads " << threads;
+      EXPECT_EQ(a.iterations, b.iterations);
+      EXPECT_EQ(a.converged, b.converged);
+      EXPECT_EQ(a.empty_cluster_reseeds, b.empty_cluster_reseeds);
+      ASSERT_EQ(b.centroids.size(), a.centroids.size());
+      for (std::size_t j = 0; j < a.centroids.size(); ++j) {
+        ASSERT_EQ(b.centroids[j].num_channels(), 1u);
+        EXPECT_EQ(a.centroids[j], b.centroids[j].channels[0])  // Bitwise.
+            << "threads " << threads << " centroid " << j;
+      }
+      reseeds += a.empty_cluster_reseeds;
+    }
+  }
+  common::SetThreadCount(saved_threads);
+  EXPECT_GT(reseeds, 0);
+}
+
+// The refinement inside the one loop is ExtractMultivariateShape: a
+// replica alternating ExtractMultivariateShape refinements with per-pair
+// MultivariateSbd argmin assignments walks the same iterations. Channel 1 is
+// a raw constant, so it extracts to zero on the first (unaligned) pass and
+// its members only take a shape when the common shift of the nonzero
+// centroid moves them — the mixed zero-norm-channel rule.
+TEST(MultivariateKShapeTest, RefinementMatchesExtractMultivariateShape) {
+  const int k = 3;
+  int shaped = 0;
+  for (const uint64_t seed : {21u, 22u, 23u}) {
+    common::Rng data_rng(seed);
+    std::vector<MultivariateSeries> series;
+    for (int i = 0; i < 30; ++i) {
+      series.push_back(MultivariateSeries{
+          {tseries::ZNormalized(data::MakeCbf(i % 3, 40, &data_rng)),
+           Series(40, 0.5)}});
+    }
+    MultivariateKShapeOptions options;
+    options.max_iterations = 4;
+    common::Rng rng_a(seed + 100);
+    const MultivariateClusteringResult fit =
+        MultivariateKShape(options).Cluster(series, k, &rng_a);
+    ASSERT_EQ(fit.empty_cluster_reseeds, 0) << "the replica does not repair";
+
+    common::Rng rng_b(seed + 100);
+    std::vector<int> labels = cluster::RandomAssignments(series.size(), k,
+                                                         &rng_b);
+    MultivariateSeries zero;
+    zero.channels.assign(2, Series(40, 0.0));
+    std::vector<MultivariateSeries> centroids(k, zero);
+    int iterations = 0;
+    while (iterations < options.max_iterations) {
+      ++iterations;
+      for (int j = 0; j < k; ++j) {
+        std::vector<MultivariateSeries> members;
+        for (std::size_t i = 0; i < series.size(); ++i) {
+          if (labels[i] == j) members.push_back(series[i]);
+        }
+        centroids[j] = ExtractMultivariateShape(members, centroids[j],
+                                                &rng_b, options.shape_options);
+      }
+      const std::vector<int> previous = labels;
+      for (std::size_t i = 0; i < series.size(); ++i) {
+        double best = std::numeric_limits<double>::infinity();
+        for (int j = 0; j < k; ++j) {
+          const double d = MultivariateSbd(centroids[j], series[i]).distance;
+          if (d < best) {
+            best = d;
+            labels[i] = j;
+          }
+        }
+      }
+      if (labels == previous) break;
+    }
+    EXPECT_EQ(fit.assignments, labels) << "seed " << seed;
+    EXPECT_EQ(fit.iterations, iterations) << "seed " << seed;
+    for (int j = 0; j < k; ++j) {
+      for (std::size_t c = 0; c < 2; ++c) {
+        for (std::size_t t = 0; t < 40; ++t) {
+          EXPECT_NEAR(fit.centroids[j].channels[c][t],
+                      centroids[j].channels[c][t], 1e-9)
+              << "seed " << seed << " centroid " << j << " channel " << c;
+        }
+      }
+      if (linalg::Norm(fit.centroids[j].channels[1]) > 0.0) ++shaped;
+    }
+  }
+  // The constant channel was aligned, not left as zero, somewhere.
+  EXPECT_GT(shaped, 0);
 }
 
 TEST(MultivariateKShapeTest, RecoversTwoPhasedClasses) {

@@ -226,8 +226,9 @@ TEST(ParallelInvarianceTest, SbdEngineDistanceToAll) {
 }
 
 TEST(ParallelInvarianceTest, MultivariateKShapeFullRun) {
-  // Covers the cached mSBD assignment scans and the per-series channel
-  // spectrum pre-pass.
+  // Covers the multichannel SbdEngine pre-pass (per-channel spectrum slots
+  // and bound planes), its pruned channel-summed scans, and ClusterBlocks'
+  // per-channel refinement.
   std::vector<core::MultivariateSeries> series;
   common::Rng rng(16);
   for (int i = 0; i < 24; ++i) {

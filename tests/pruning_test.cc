@@ -1,7 +1,6 @@
 // Contract tests for bound-driven assignment pruning (the KSHAPE_PRUNE
-// gate + KShapeOptions::prune_margin) and the spectral early-abandon NCC
-// bound underneath it (SbdEngine::{NccUpperBound, DistanceWithAbandon,
-// Nearest}).
+// gate) and the spectral early-abandon NCC bound underneath it
+// (SbdEngine::{NccUpperBound, DistanceWithAbandon, Nearest}).
 //
 // The load-bearing claims, each pinned here:
 //  - the spectral bound is a true upper bound on the NCC peak (lower bound
@@ -12,8 +11,8 @@
 //    scan at the default margin, on CBF (k = 3) and phase-jittered sines
 //    (k = 24), across seeds, thread counts, spectrum layouts, and SIMD
 //    backends;
-//  - prune_margin = +infinity is bit-identical to the exact path (the
-//    movement-bound layer off, the exactness-preserving spectral layer on);
+//  - the spectral abandon layer alone (movement bounds off, gate on) is
+//    bit-identical to the exact scan: labels, distances and shifts;
 //  - the telemetry partition computed + pruned + abandoned == n*k holds for
 //    every assignment iteration, and the exact path reports the full n*k as
 //    computed;
@@ -291,7 +290,6 @@ model::AssignerOptions ShiftTestOptions(const core::SbdEngine& engine, int k,
   options.m = engine.series_length();
   options.fft_len = engine.fft_length();
   options.use_movement_bounds = bounds;
-  options.prune_margin = 1e-6;
   return options;
 }
 
@@ -582,31 +580,59 @@ TEST(PruningTest, PrunedPathBitIdenticalAcrossBackends) {
   }
 }
 
-TEST(PruningTest, InfiniteMarginBitIdenticalToExactPath) {
-  const std::vector<Series> series = MakeSeries(45, 64, 303);
+// The spectral abandon layer is exact on its own: with the movement bounds
+// off, a gate-on Assigner (bound planes on engine and queries) labels every
+// row as the gate-off exhaustive scan does, with bitwise equal winning
+// distances and shifts, over passes whose centroids move.
+TEST(PruningTest, SpectralAbandonAloneBitIdenticalToExactScan) {
   GateGuard gate_guard;
-  core::KShapeOptions inf_options;
-  inf_options.prune_margin = std::numeric_limits<double>::infinity();
-
-  const cluster::ClusteringResult a = RunKShape(inf_options, series, 3, 9);
+  const int k = 6;
+  const std::vector<Series> series = MakeJitterSines(72, 64, k, 303);
+  const std::size_t n = series.size();
+  core::SetPruningEnabledForTesting(true);
+  const core::SbdEngine planes(series, core::CrossCorrelationImpl::kFft,
+                               fft::HalfSpectrumEnabled(), true);
+  model::Assigner abandoning(ShiftTestOptions(planes, k, /*bounds=*/false));
   core::SetPruningEnabledForTesting(false);
-  const cluster::ClusteringResult b =
-      RunKShape(core::KShapeOptions{}, series, 3, 9);
-  EXPECT_EQ(a.assignments, b.assignments);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.converged, b.converged);
-  EXPECT_EQ(a.empty_cluster_reseeds, b.empty_cluster_reseeds);
-  ASSERT_EQ(a.centroids.size(), b.centroids.size());
-  for (std::size_t j = 0; j < a.centroids.size(); ++j) {
-    ASSERT_EQ(a.centroids[j].size(), b.centroids[j].size());
-    for (std::size_t t = 0; t < a.centroids[j].size(); ++t) {
-      EXPECT_EQ(a.centroids[j][t], b.centroids[j][t]);  // Bitwise.
+  const core::SbdEngine plain(series, core::CrossCorrelationImpl::kFft,
+                              fft::HalfSpectrumEnabled(), false);
+  model::Assigner exact(ShiftTestOptions(plain, k, /*bounds=*/false));
+  ASSERT_TRUE(abandoning.pruning());
+  ASSERT_FALSE(exact.pruning());
+
+  std::vector<int> labels(n), exact_labels(n);
+  for (std::size_t i = 0; i < n; ++i) labels[i] = static_cast<int>(i % 4);
+  exact_labels = labels;
+  std::vector<Series> centroids(series.begin(), series.begin() + k);
+  long long abandoned = 0;
+  for (int pass = 0; pass < 4; ++pass) {
+    for (int j = 0; pass > 0 && j < k; ++j) {
+      Series moved = centroids[j];
+      linalg::Axpy(0.05, series[j + k * pass], &moved);
+      centroids[j] = tseries::ZNormalized(moved);
     }
+    abandoning.BeginIteration(centroids);
+    exact.BeginIteration(centroids);
+    std::vector<double> distances(n), exact_distances(n);
+    std::vector<int> shifts(n), exact_shifts(n);
+    abandoning.AssignBlock(planes, 0, &labels, &distances, &shifts);
+    exact.AssignBlock(plain, 0, &exact_labels, &exact_distances,
+                      &exact_shifts);
+    EXPECT_EQ(labels, exact_labels) << "pass " << pass;
+    EXPECT_EQ(distances, exact_distances) << "pass " << pass;  // Bitwise.
+    EXPECT_EQ(shifts, exact_shifts) << "pass " << pass;
+    const model::AssignmentIterationStats& a = abandoning.iteration_stats();
+    const model::AssignmentIterationStats& e = exact.iteration_stats();
+    EXPECT_EQ(a.pruned_bounds, 0);
+    EXPECT_EQ(a.computed + a.abandoned_partial,
+              static_cast<long long>(n) * k);
+    EXPECT_EQ(e.computed, static_cast<long long>(n) * k);
+    abandoned += a.abandoned_partial;
+    abandoning.FinishIteration(0);
+    exact.FinishIteration(0);
   }
-  // The movement-bound layer is off; only spectral abandons may remain, and
-  // nothing is ever pruned by bounds.
-  EXPECT_EQ(a.distances_pruned_bounds, 0);
-  ExpectTelemetryPartition(a, series.size(), 3);
+  // Parity means little if nothing abandoned.
+  EXPECT_GT(abandoned, 0);
 }
 
 TEST(PruningTest, ExactPathReportsFullScanTelemetry) {

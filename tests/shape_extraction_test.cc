@@ -744,6 +744,32 @@ TEST(ShiftedAddTest, ZeroNormReferenceIgnoresTheShift) {
   }
 }
 
+TEST(ShiftedAddTest, ForcedAlignmentShiftsAgainstAZeroReferenceAndStartsCold) {
+  // The zero channel of a nonzero multichannel centroid: alignment is on by
+  // the caller's word, so the shift applies, but the zero reference offers
+  // no warm start. The result is a cold extraction of the shifted members.
+  const std::size_t m = 32;
+  const std::vector<Series> members = NoisySineCorpus(12, m, 151);
+  const Series zero(m, 0.0);
+  for (const bool matrix_free : {false, true}) {
+    ShapeExtractionOptions options;
+    options.matrix_free_min_members = matrix_free ? 1 : SIZE_MAX;
+    ShapeAccumulator forced(zero, options, /*align=*/true);
+    ShapeAccumulator preshifted(zero, options);
+    ASSERT_TRUE(forced.aligns());
+    for (const Series& member : members) {
+      forced.Add(member, 5);
+      preshifted.Add(tseries::ShiftWithZeroFill(member, 5));
+    }
+    common::Rng rng_a(157);
+    common::Rng rng_b(157);
+    const ExtractedShape a = forced.Finish(&rng_a, options);
+    const ExtractedShape b = preshifted.Finish(&rng_b, options);
+    EXPECT_FALSE(a.degenerate);
+    EXPECT_EQ(a.centroid, b.centroid) << "matrix_free=" << matrix_free;
+  }
+}
+
 TEST(ShiftedAddTest, ZeroNormMembersAreCountedThenDropped) {
   // A zero member stays zero under any shift: it is counted, contributes
   // nothing, and a set of only such members is the flagged zero centroid.
