@@ -12,8 +12,9 @@
 #      determinism contract says results cannot change);
 #    - KSHAPE_HALF_SPECTRUM=off: forces the full-complex spectrum cache (the
 #      half-spectrum equivalence contract says labels cannot change);
-#    - KSHAPE_PRUNE=off: forces exhaustive exact scans (the pruning
-#      equivalence contract says labels cannot change).
+#    - KSHAPE_PRUNE=off: forces exhaustive exact scans, the ++ seeding scan
+#      included (the pruning equivalence contract says labels cannot
+#      change).
 #    Then a kshape_fit -> kshape_predict round trip exercises the .kmodel
 #    artifact through the example CLIs, and the sharded fig12 scalability
 #    bench runs in --smoke mode (out-of-core exact + mini-batch runs). Last,
@@ -88,7 +89,7 @@ echo "==> tier1 tests, KSHAPE_HALF_SPECTRUM=off (forced full-complex spectra)"
 (cd "${RELEASE_DIR}" &&
  KSHAPE_HALF_SPECTRUM=off ctest -L tier1 --output-on-failure -j "${JOBS}")
 
-echo "==> tier1 tests, KSHAPE_PRUNE=off (forced exhaustive exact scans)"
+echo "==> tier1 tests, KSHAPE_PRUNE=off (forced exhaustive exact scans and ++ seeding)"
 (cd "${RELEASE_DIR}" &&
  KSHAPE_PRUNE=off ctest -L tier1 --output-on-failure -j "${JOBS}")
 

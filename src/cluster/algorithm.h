@@ -20,10 +20,13 @@ namespace kshape::cluster {
 ///                       (no spectral work at all)
 ///   abandoned_partial — pairs dropped mid-scan by the partial-sum spectral
 ///                       NCC bound (bin products spent, no inverse transform)
-/// Invariant: computed + pruned_bounds + abandoned_partial == n·k. Seeding,
-/// empty-cluster repair, and centroid-shift distances are outside these
-/// counters. Defined with the Assigner (the one assignment
-/// implementation); aliased here for the result consumers.
+/// Invariant: computed + pruned_bounds + abandoned_partial == n·k. ++
+/// seeding keeps its own partition of its n·k seed-to-series pairs
+/// (ClusteringResult::seeding_stats, pruned_bounds counting the pairs its
+/// triangle test skipped); empty-cluster repair, seed-to-seed and
+/// centroid-shift distances are outside both. Defined with the Assigner
+/// (the one assignment implementation); aliased here for the result
+/// consumers.
 using AssignmentIterationStats = model::AssignmentIterationStats;
 
 /// The output of a clustering run.
@@ -59,6 +62,12 @@ struct ClusteringResult {
   long long distances_abandoned_partial = 0;
   std::vector<AssignmentIterationStats> assignment_stats;
 
+  /// The same partition over k-Shape's ++ seeding scan: its n·k
+  /// seed-to-series pairs computed, skipped by the seeding triangle test
+  /// (pruned_bounds) or abandoned by the spectral bound. All zero under
+  /// random initialization and for methods without ++ seeding.
+  AssignmentIterationStats seeding_stats;
+
   /// Out-of-core telemetry (the sharded MiniBatchKShape driver; in-memory
   /// methods leave all three at zero): shard files read from disk and shards
   /// evicted under the residency budget over this run (deltas against the
@@ -69,15 +78,18 @@ struct ClusteringResult {
   long long shard_evictions = 0;
   long long sampled_series = 0;
 
-  /// Per-phase wall-clock telemetry (monotonic clock), summed across all
-  /// refinement iterations: extraction_seconds covers the centroid
+  /// Per-phase wall-clock telemetry (monotonic clock), the first two summed
+  /// across all refinement iterations: extraction_seconds covers the centroid
   /// recomputation (shape extraction / KSC eigenproblem, including member
   /// alignment), assignment_seconds the assignment step plus empty-cluster
-  /// repair. These make phase dominance visible in every bench/CLI run —
-  /// e.g. that extraction dominates once assignment is pruned, and what the
-  /// matrix-free extraction path buys back. Wall-clock, so not part of any
+  /// repair, and seeding_seconds k-Shape's initialization before the first
+  /// iteration (the ++ seeding scans, or drawing random labels). These make
+  /// phase dominance visible in every bench/CLI run — e.g. that extraction
+  /// dominates once assignment is pruned, and what the matrix-free
+  /// extraction path buys back. Wall-clock, so not part of any
   /// determinism contract; methods without an iterative refinement loop
-  /// leave both at zero.
+  /// leave all three at zero.
+  double seeding_seconds = 0.0;
   double assignment_seconds = 0.0;
   double extraction_seconds = 0.0;
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "core/sbd.h"
 #include "core/sbd_engine.h"
@@ -19,59 +18,41 @@ namespace kshape::core {
 
 namespace {
 
-// The SBD evaluations of one D^2 scan are independent per series, so they
-// run on the thread pool; each index writes only d2[i] / nearest[i]. The
-// RNG-driven sampling between scans stays sequential, and `total` is reduced
-// over the materialized d2 array in index order — so the seeding consumes
-// exactly the same random stream and picks the same seeds at every thread
-// count and block split. Grain 16 amortizes chunk-claiming over the cheap
-// per-index work.
-constexpr std::size_t kScanGrain = 16;
-
 // k-means++-style seeding under SBD: D^2 sampling of k seed series, then a
-// nearest-seed initial assignment. On the cached path each seed's spectrum
-// is minted once (MakeQueryFor, `fft_len` > 0) and streamed against every
-// block engine, so a seed-to-series distance is a single inverse transform;
-// engine-free runs call Sbd() per pair.
+// nearest-seed initial assignment. The RNG-driven sampling between scans
+// stays here, on the coordinating thread, and the sampling total is reduced
+// over the nearest-seed distances in index order; the scans run inside the
+// Assigner (parallel over rows, disjoint writes). So the seeding consumes
+// exactly the same random stream and picks the same seeds at every thread
+// count, block split and prune gate. On the cached path each seed's
+// spectrum is minted once and streamed against every block engine, so a
+// seed-to-series distance is at most a single inverse transform; engine-free
+// runs call Sbd() per pair.
 std::vector<int> PlusPlusSeeding(SeriesBlocks* blocks, int k,
-                                 common::Rng* rng, std::size_t fft_len,
-                                 bool half) {
+                                 common::Rng* rng, model::Assigner* assigner) {
   const std::size_t n = blocks->size();
-  std::vector<double> d2(n);  // Squared SBD to the nearest chosen seed.
-  std::vector<int> nearest(n, 0);
-
-  const std::size_t channels = blocks->channels();
-  const auto scan = [&](std::size_t seed, int seed_index) {
+  const auto scan = [&](std::size_t seed) {
     const tseries::Series seed_row = blocks->Row(seed);
-    std::optional<SbdEngine::Query> q;
-    if (fft_len > 0) {
-      q = SbdEngine::MakeQueryFor(seed_row, seed_row.size() / channels,
-                                  fft_len, half,
-                                  /*build_bound_planes=*/false, channels);
-    }
+    assigner->AddSeed(seed_row);
     for (std::size_t b = 0; b < blocks->num_blocks(); ++b) {
       const SeriesBlock block = blocks->Block(b);
-      common::ParallelFor(0, block.rows.size(), kScanGrain,
-                          [&](std::size_t begin, std::size_t end) {
-        for (std::size_t r = begin; r < end; ++r) {
-          const double d = q ? block.engine->Distance(*q, r)
-                             : Sbd(seed_row, block.rows[r]).distance;
-          const std::size_t i = block.base + r;
-          if (seed_index == 0) {
-            d2[i] = d * d;
-          } else if (d * d < d2[i]) {
-            d2[i] = d * d;
-            nearest[i] = seed_index;
-          }
-        }
-      });
+      if (block.engine != nullptr) {
+        assigner->SeedBlock(*block.engine, block.base);
+      } else {
+        assigner->SeedBlockWith(
+            [&](int, std::size_t i) {
+              return Sbd(seed_row, block.rows[i - block.base]).distance;
+            },
+            block.base, block.rows.size());
+      }
     }
   };
 
-  scan(static_cast<std::size_t>(rng->UniformInt(static_cast<int>(n))), 0);
+  scan(static_cast<std::size_t>(rng->UniformInt(static_cast<int>(n))));
+  const std::vector<double>& d = assigner->seed_distances();
   for (int seed_index = 1; seed_index < k; ++seed_index) {
     double total = 0.0;
-    for (double v : d2) total += v;
+    for (double v : d) total += v * v;
     std::size_t pick = 0;
     if (total <= 0.0) {
       // All series coincide with a seed; any unused index works.
@@ -79,16 +60,16 @@ std::vector<int> PlusPlusSeeding(SeriesBlocks* blocks, int k,
     } else {
       double threshold = rng->Uniform() * total;
       for (std::size_t i = 0; i < n; ++i) {
-        threshold -= d2[i];
+        threshold -= d[i] * d[i];
         if (threshold <= 0.0) {
           pick = i;
           break;
         }
       }
     }
-    scan(pick, seed_index);
+    scan(pick);
   }
-  return nearest;
+  return assigner->nearest_seeds();
 }
 
 // Floyd's uniform sample of `b` distinct indices from [0, n), returned
@@ -198,10 +179,12 @@ cluster::ClusteringResult ClusterBlocks(const KShapeOptions& options,
   model::Assigner assigner(assigner_options);
 
   cluster::ClusteringResult result;
-  result.assignments =
-      options.init == KShapeInit::kPlusPlusSeeding
-          ? PlusPlusSeeding(blocks, k, rng, fft_len, assigner.half_spectrum())
-          : cluster::RandomAssignments(n, k, rng);
+  common::Stopwatch phase_clock;
+  result.assignments = options.init == KShapeInit::kPlusPlusSeeding
+                           ? PlusPlusSeeding(blocks, k, rng, &assigner)
+                           : cluster::RandomAssignments(n, k, rng);
+  result.seeding_stats = assigner.seeding_stats();
+  result.seeding_seconds = phase_clock.ElapsedSeconds();
   result.centroids.assign(k, tseries::Series(row_length, 0.0));
 
   // Distance from centroid j to the global row r of `block`.
@@ -259,7 +242,7 @@ cluster::ClusteringResult ClusterBlocks(const KShapeOptions& options,
     // movement bounds pruned whole (or a sampled pass skipped) costs one
     // MaxNcc against that centroid's query instead. Every channel of a
     // member moves by that shift. Engine-free runs align by per-pair Sbd().
-    common::Stopwatch phase_clock;
+    phase_clock.Reset();
     {
       std::vector<std::size_t> members(k, 0);
       if (full_pass) {

@@ -20,7 +20,13 @@ enum class KShapeInit {
   /// with probability proportional to the squared SBD to the closest chosen
   /// seed; initial assignment is nearest-seed. Breaks the symmetric-centroid
   /// local optima that random assignment is prone to on small datasets —
-  /// see the ablation_initialization bench.
+  /// see the ablation_initialization bench. On the cached-SBD path the
+  /// KSHAPE_PRUNE gate prunes the scan exactly: a seed-to-series distance
+  /// is skipped when the triangle inequality in sqrt(min(SBD, 1)) shows the
+  /// new seed is no nearer than the series' nearest seed, or abandoned by
+  /// the spectral bound, so the seeds and labels are bitwise those of the
+  /// exhaustive scan (DESIGN.md, "Pruned seeding"). Telemetry lands in
+  /// ClusteringResult::{seeding_stats, seeding_seconds}.
   kPlusPlusSeeding,
 };
 

@@ -16,10 +16,11 @@ namespace kshape::core {
 
 /// Process-wide pruning gate, resolved once on first use from the
 /// KSHAPE_PRUNE environment variable: "off" disables every bound-driven
-/// shortcut (Hamerly-style assignment pruning and spectral early-abandon NCC
-/// — all consumers fall back to exhaustive exact scans), "on" or unset
-/// enables them, anything else aborts. It is the only pruning switch: the
-/// k-Shape fit, Predict, OnlineScorer and the SBD classify scanner all read
+/// shortcut (Hamerly-style assignment pruning, the ++ seeding triangle test
+/// and spectral early-abandon NCC — all consumers fall back to exhaustive
+/// exact scans), "on" or unset enables them, anything else aborts. It is
+/// the only pruning switch: the k-Shape fit (its ++ seeding scan and its
+/// assignment), Predict, OnlineScorer and the SBD classify scanner all read
 /// it, so off forces the exhaustive exact scans everywhere.
 bool PruningEnabled();
 

@@ -307,6 +307,95 @@ void Assigner::AssignSample(const core::SbdEngine& engine, std::size_t base,
   }, &stats_);
 }
 
+void Assigner::AddSeed(tseries::SeriesView seed) {
+  KSHAPE_CHECK(seeds_ < options_.k);
+  KSHAPE_CHECK(seed.size() == options_.channels * options_.m);
+  if (seeds_ == 0) {
+    seed_d_.assign(options_.num_series, 0.0);
+    nearest_seed_.assign(options_.num_series, 0);
+  }
+  ++seeds_;
+  if (options_.fft_len == 0) return;
+  seed_gap_r_.clear();
+  if (pruning_ && !seed_queries_.empty()) {
+    // The gaps the triangle test reads, one engine over the new seed's row.
+    const core::SbdEngine pick(
+        tseries::SeriesBatch(seed.data(), 1, seed.size()),
+        core::CrossCorrelationImpl::kFft, half_,
+        /*build_bound_planes=*/false, options_.channels);
+    KSHAPE_CHECK(pick.fft_length() == options_.fft_len);
+    for (const core::SbdEngine::Query& earlier : seed_queries_) {
+      const double d = pick.Distance(earlier, 0);
+      seed_gap_r_.push_back(std::sqrt(std::clamp(d, 0.0, 1.0)));
+    }
+  }
+  seed_queries_.push_back(core::SbdEngine::MakeQueryFor(
+      seed, options_.m, options_.fft_len, half_,
+      /*build_bound_planes=*/pruning_, options_.channels));
+}
+
+template <typename Dist>
+void Assigner::SeedIndex(const Dist& dist, std::size_t i, std::size_t row,
+                         AssignmentIterationStats* counts) {
+  const int seed = seeds_ - 1;
+  if (seed == 0) {
+    seed_d_[i] = dist.Exact(0, row, nullptr);
+    ++counts->computed;
+    return;
+  }
+  const double d_nearest = seed_d_[i];
+  if (pruning_) {
+    // Elkan's lemma in the metric δ = sqrt(min(SBD, 1)) (DESIGN.md, "Pruned
+    // seeding"): δ(p, i) >= |δ(s, p) − δ(s, i)| for the new seed p and the
+    // nearest seed s, so when that gap squared clears SBD(s, i) by the
+    // rounding margin, p cannot take row i. Above SBD = 1 the left side is
+    // at most 1 and the test never fires.
+    const double gap = seed_gap_r_[nearest_seed_[i]] -
+                       std::sqrt(std::clamp(d_nearest, 0.0, 1.0));
+    if (gap * gap >= d_nearest + kPruneMargin) {
+      ++counts->pruned_bounds;
+      return;
+    }
+  }
+  bool abandoned = false;
+  const double d = dist.WithAbandon(
+      seed, row, d_nearest + core::SbdEngine::kDefaultBoundSlack, &abandoned,
+      nullptr);
+  if (abandoned) {
+    ++counts->abandoned_partial;
+    return;
+  }
+  ++counts->computed;
+  if (d * d < d_nearest * d_nearest) {
+    seed_d_[i] = d;
+    nearest_seed_[i] = seed;
+  }
+}
+
+void Assigner::SeedBlock(const core::SbdEngine& engine, std::size_t base) {
+  KSHAPE_CHECK(seeds_ >= 1 && !seed_queries_.empty());
+  KSHAPE_CHECK(base + engine.size() <= options_.num_series);
+  const EngineDistance dist{engine, seed_queries_};
+  ScanChunks(0, engine.size(),
+             [&](std::size_t r, AssignmentIterationStats* counts) {
+    SeedIndex(dist, base + r, r, counts);
+  }, &seeding_stats_);
+}
+
+void Assigner::SeedBlockWith(
+    const std::function<double(int, std::size_t)>& dist, std::size_t base,
+    std::size_t rows) {
+  KSHAPE_CHECK(seeds_ >= 1);
+  KSHAPE_CHECK(base + rows <= options_.num_series);
+  KSHAPE_CHECK_MSG(!pruning_,
+                   "pruning needs engine spectra; the callback path is the "
+                   "exhaustive scan");
+  const CallbackDistance callback{dist, base};
+  ScanChunks(0, rows, [&](std::size_t r, AssignmentIterationStats* counts) {
+    SeedIndex(callback, base + r, r, counts);
+  }, &seeding_stats_);
+}
+
 void Assigner::FinishIteration(int reseeds) {
   if (bounds_) {
     // Repair rewires assignments without touching the bounds; a full rebuild

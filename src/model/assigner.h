@@ -4,14 +4,16 @@
 // in-memory, sharded and multichannel runs alike), batch and online scoring
 // (model/fitted_model.h), and the classify-against-candidates path behind
 // the SBD BatchScanner (src/core/sbd.cc). The pruning layers — spectral
-// early-abandon NCC and the Hamerly-style movement bounds — and the
-// telemetry partition are defined exactly once.
+// early-abandon NCC, the Hamerly-style movement bounds and the ++ seeding
+// triangle test — and the telemetry partition are defined exactly once.
 //
 // One scan body serves every entry point: per series, the owner's distance
 // first, then the ascending-j argmin with spectral early abandoning, behind
 // the movement bounds when they are on. AssignBlock and AssignSample reach it
 // through the block's SbdEngine; AssignBlockWith through a caller distance
-// that never abandons and records no shift.
+// that never abandons and records no shift. The ++ seeding scan has its own
+// per-series body beside it, reached the same two ways (SeedBlock,
+// SeedBlockWith) and chunked the same way.
 //
 // Gates: the Assigner reads KSHAPE_HALF_SPECTRUM and KSHAPE_PRUNE once, at
 // construction (pruning is off when fft_len == 0), and exposes them through
@@ -44,6 +46,11 @@
 //     one configuration (m, C, fft_len, spectrum layout, bound planes) — the
 //     MakeQueryFor interchange contract — which is what makes the minted
 //     queries valid against every block.
+//   - ++ seeding (SBD-D² sampling) runs before the first iteration: the
+//     caller draws each pick from its rng, AddSeed registers it, and
+//     SeedBlock / SeedBlockWith fold it into every row's nearest-seed state
+//     (seed_distances(), nearest_seeds()), which the Assigner owns. The
+//     caller samples the next pick from those distances.
 //   - The iteration protocol is: SnapshotCentroids (before refinement) →
 //     BeginIteration (after refinement) → AssignBlock/AssignSample per block
 //     (optionally recording shifts) → read iteration_stats() →
@@ -159,6 +166,44 @@ class Assigner {
                     std::size_t stop, std::vector<int>* assignments,
                     std::vector<int>* shifts = nullptr);
 
+  /// Registers the next ++ seed (a copy of one corpus row, C·m values):
+  /// mints its query, with bound planes when pruning() is on, and, for every
+  /// seed after the first, measures its distance to each earlier seed — the
+  /// channel-summed SBD of an engine over this row against the kept seed
+  /// queries, outside the seeding counters. Engine-free runs (fft_len == 0)
+  /// only count the seed.
+  void AddSeed(tseries::SeriesView seed);
+
+  /// Folds the newest seed into the nearest-seed state of every cached row
+  /// of `engine` (engine row r is global series base + r). The first seed
+  /// computes every distance. A later seed p skips row i, with seed s its
+  /// nearest so far and δ = sqrt(min(SBD, 1)) the metric of DESIGN.md
+  /// ("Pruned seeding"), when (δ(s, p) − δ(s, i))² ≥ SBD(s, i) + margin —
+  /// then δ(p, i) ≥ δ(s, i) — and otherwise abandons spectrally at
+  /// SBD(s, i). Both only drop pairs that cannot lower the row's distance,
+  /// and the state changes only on a strict decrease of the squared
+  /// distance, so the state is bitwise the exhaustive scan's. With pruning
+  /// off every pair is computed. Parallel over rows with disjoint writes;
+  /// the pairs add to seeding_stats().
+  void SeedBlock(const core::SbdEngine& engine, std::size_t base);
+
+  /// Engine-free variant: dist(j, i) is the distance from seed j (always the
+  /// newest) to global series i, for rows [base, base + rows). Computes
+  /// every pair.
+  void SeedBlockWith(const std::function<double(int, std::size_t)>& dist,
+                     std::size_t base, std::size_t rows);
+
+  /// Per global series, the SBD to its nearest seed so far (squared, its
+  /// D² sampling weight) and that seed's index in AddSeed order.
+  const std::vector<double>& seed_distances() const { return seed_d_; }
+  const std::vector<int>& nearest_seeds() const { return nearest_seed_; }
+
+  /// The seeding pairs scanned so far: computed + pruned_bounds (skipped by
+  /// the triangle test) + abandoned_partial == n · seeds.
+  const AssignmentIterationStats& seeding_stats() const {
+    return seeding_stats_;
+  }
+
   /// Ends the iteration: the movement bounds stay valid only when the
   /// empty-cluster repair rewired nothing (repair moves assignments behind
   /// the bounds' back, so a full rebuild is the only safe continuation).
@@ -204,6 +249,12 @@ class Assigner {
                  std::vector<double>* distances, std::vector<int>* shifts,
                  AssignmentIterationStats* counts);
 
+  // The ++ seeding body for global index `i`: folds the newest seed into
+  // its nearest-seed state, adding the pair to `counts`.
+  template <typename Dist>
+  void SeedIndex(const Dist& dist, std::size_t i, std::size_t row,
+                 AssignmentIterationStats* counts);
+
   AssignerOptions options_;
   bool half_ = false;
   bool pruning_ = false;
@@ -219,6 +270,16 @@ class Assigner {
   int max_shift_arg_ = -1;
 
   AssignmentIterationStats stats_;
+
+  // ++ seeding state: the seed queries, sqrt(min(SBD, 1)) from the newest
+  // seed to each earlier one, and per series the SBD to, and index of, its
+  // nearest seed.
+  int seeds_ = 0;
+  std::vector<core::SbdEngine::Query> seed_queries_;
+  std::vector<double> seed_gap_r_;
+  std::vector<double> seed_d_;
+  std::vector<int> nearest_seed_;
+  AssignmentIterationStats seeding_stats_;
 };
 
 }  // namespace kshape::model

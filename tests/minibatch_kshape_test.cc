@@ -136,6 +136,12 @@ void ExpectBitIdentical(const ClusteringResult& a, const ClusteringResult& b,
   EXPECT_EQ(a.distances_abandoned_partial, b.distances_abandoned_partial)
       << what;
   EXPECT_EQ(a.sampled_series, b.sampled_series) << what;
+  EXPECT_EQ(a.seeding_stats.computed, b.seeding_stats.computed) << what;
+  EXPECT_EQ(a.seeding_stats.pruned_bounds, b.seeding_stats.pruned_bounds)
+      << what;
+  EXPECT_EQ(a.seeding_stats.abandoned_partial,
+            b.seeding_stats.abandoned_partial)
+      << what;
   ASSERT_EQ(a.assignment_stats.size(), b.assignment_stats.size()) << what;
   for (std::size_t t = 0; t < a.assignment_stats.size(); ++t) {
     EXPECT_EQ(a.assignment_stats[t].computed, b.assignment_stats[t].computed)
@@ -199,16 +205,31 @@ TEST(MiniBatchKShapeTest, ExactModeMatchesInMemoryWithPlusPlusSeeding) {
   core::KShapeOptions options;
   options.init = core::KShapeInit::kPlusPlusSeeding;
   const std::vector<Series> series = MakeCorpus(n, m, 7);
-  const ClusteringResult reference = RunInMemory(options, series, k, 11);
   for (std::size_t shard_rows : {std::size_t{7}, n}) {
     core::KShapeOptions sharded = options;
     sharded.shard_rows = shard_rows;
     sharded.max_resident_shards = 2;
-    const auto [result, store] =
-        RunSharded(sharded, series, k, 11,
-                   "pp_" + std::to_string(shard_rows));
-    ExpectBitIdentical(result, reference,
-                       "++ shard_rows " + std::to_string(shard_rows));
+    // The pruned seeding reads the seed-to-seed distances off the pick's row
+    // it already holds, so it fetches exactly the shards the exhaustive scan
+    // does.
+    ClusteringResult exhaustive;
+    for (bool prune : {false, true}) {
+      core::SetPruningEnabledForTesting(prune);
+      const std::string what = "++ shard_rows " + std::to_string(shard_rows) +
+                               " prune=" + (prune ? "1" : "0");
+      const ClusteringResult reference = RunInMemory(options, series, k, 11);
+      auto [result, store] =
+          RunSharded(sharded, series, k, 11,
+                     "pp_" + std::to_string(shard_rows) + (prune ? "p" : "x"));
+      ExpectBitIdentical(result, reference, what);
+      if (!prune) {
+        exhaustive = std::move(result);
+      } else {
+        EXPECT_EQ(result.shards_loaded, exhaustive.shards_loaded) << what;
+        EXPECT_EQ(result.assignments, exhaustive.assignments) << what;
+        EXPECT_EQ(result.centroids, exhaustive.centroids) << what;
+      }
+    }
   }
 }
 

@@ -21,6 +21,10 @@
 //    row it computed an owner distance for, kNoShift for rows the bounds
 //    pruned whole, and nothing outside a sampled pass's sample — without
 //    changing labels or telemetry;
+//  - pruned ++ seeding (the triangle test and the spectral abandon over the
+//    seed-to-series pairs) picks the exhaustive scan's seeds: one-iteration
+//    and full fits are bitwise equal with the gate on and off, and its own
+//    telemetry partitions the n·k seeding pairs;
 //  - the one scan body agrees with its engine-free entry point
 //    (AssignBlockWith, which computes all n·k pairs), and "pruning off" is
 //    "no bound planes": DistanceWithAbandon without planes is the exact
@@ -29,6 +33,7 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -635,6 +640,143 @@ TEST(PruningTest, SpectralAbandonAloneBitIdenticalToExactScan) {
   EXPECT_GT(abandoned, 0);
 }
 
+// ---------------------------------------------------------------------------
+// Pruned ++ seeding.
+// ---------------------------------------------------------------------------
+
+// Shifted sines (k classes, uniformly random phase, light noise): clusters
+// tight enough that a new seed is often twice as far from a row's nearest
+// seed as the row itself, so the triangle test fires.
+std::vector<Series> MakeShiftedSines(std::size_t n, std::size_t m, int k,
+                                     uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<Series> series;
+  series.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    series.push_back(tseries::ZNormalized(
+        data::MakeShiftedSine(static_cast<int>(i % k), m, &rng)));
+  }
+  return series;
+}
+
+std::vector<Series> MakeRandomWalks(std::size_t n, std::size_t m,
+                                    uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<Series> series;
+  series.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    series.push_back(tseries::ZNormalized(data::MakeRandomWalk(m, &rng)));
+  }
+  return series;
+}
+
+void ExpectSeedingPartition(const cluster::ClusteringResult& result,
+                            std::size_t n, int k, const std::string& what) {
+  const cluster::AssignmentIterationStats& s = result.seeding_stats;
+  EXPECT_EQ(s.computed + s.pruned_bounds + s.abandoned_partial,
+            static_cast<long long>(n) * k)
+      << what;
+  EXPECT_GE(s.computed, static_cast<long long>(n)) << what;  // First seed.
+  EXPECT_GE(s.pruned_bounds, 0) << what;
+  EXPECT_GE(s.abandoned_partial, 0) << what;
+}
+
+// The seeding triangle test and abandon drop only pairs that cannot lower a
+// row's nearest-seed distance, so the pruned scan picks the exhaustive
+// scan's seeds and initial labels bit for bit: one-iteration fits (whose
+// centroids are extracted from the seeding labels) and full fits agree with
+// the gate off in assignments, centroids and iterations, at every thread
+// count, spectrum layout and SIMD backend, on one and two channels.
+TEST(PruningTest, PrunedPlusPlusSeedingBitIdenticalToExhaustive) {
+  const int saved_threads = common::ThreadCount();
+  const simd::Backend saved_backend = simd::ActiveBackend();
+  GateGuard gate_guard;
+
+  struct Corpus {
+    const char* name;
+    std::vector<Series> rows;
+    std::size_t channels;
+    int k;
+    bool clustered;
+  };
+  std::vector<Corpus> corpora;
+  corpora.push_back({"shifted-sines", MakeShiftedSines(96, 64, 6, 811), 1, 6,
+                     true});
+  corpora.push_back({"random-walks", MakeRandomWalks(80, 64, 812), 1, 6,
+                     false});
+  // Two channels of the same class per row: channel-summed distances.
+  {
+    const std::vector<Series> first = MakeShiftedSines(72, 48, 4, 813);
+    const std::vector<Series> second = MakeShiftedSines(72, 48, 4, 814);
+    std::vector<Series> rows;
+    for (std::size_t i = 0; i < first.size(); ++i) {
+      Series row = first[i];
+      row.insert(row.end(), second[i].begin(), second[i].end());
+      rows.push_back(row);
+    }
+    corpora.push_back({"two-channel-sines", rows, 2, 4, true});
+  }
+
+  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
+  if (simd::Avx2Available()) backends.push_back(simd::Backend::kAvx2);
+
+  for (const Corpus& corpus : corpora) {
+    const std::size_t n = corpus.rows.size();
+    long long pruned_pairs = 0, abandoned_pairs = 0;
+    for (int max_iterations : {1, 100}) {
+      core::KShapeOptions options;
+      options.init = core::KShapeInit::kPlusPlusSeeding;
+      options.max_iterations = max_iterations;
+      const auto run = [&](bool prune) {
+        core::SetPruningEnabledForTesting(prune);
+        common::Rng rng(31);
+        return core::ClusterBatch(options, corpus.rows, corpus.channels,
+                                  corpus.k, &rng, "k-Shape");
+      };
+      for (bool half : {true, false}) {
+        fft::SetHalfSpectrumEnabledForTesting(half);
+        for (simd::Backend backend : backends) {
+          simd::SetBackendForTesting(backend);
+          std::vector<int> reference_assignments;
+          for (int threads : {1, 2, 8}) {
+            common::SetThreadCount(threads);
+            const std::string what =
+                std::string(corpus.name) +
+                " max_iterations=" + std::to_string(max_iterations) +
+                " half=" + std::to_string(half) +
+                " backend=" + std::to_string(static_cast<int>(backend)) +
+                " threads=" + std::to_string(threads);
+            const cluster::ClusteringResult pruned = run(true);
+            const cluster::ClusteringResult exact = run(false);
+            EXPECT_EQ(pruned.assignments, exact.assignments) << what;
+            EXPECT_EQ(pruned.centroids, exact.centroids) << what;  // Bitwise.
+            EXPECT_EQ(pruned.iterations, exact.iterations) << what;
+            ExpectSeedingPartition(pruned, n, corpus.k, what);
+            ExpectSeedingPartition(exact, n, corpus.k, what);
+            EXPECT_EQ(exact.seeding_stats.pruned_bounds, 0) << what;
+            EXPECT_EQ(exact.seeding_stats.abandoned_partial, 0) << what;
+            pruned_pairs += pruned.seeding_stats.pruned_bounds;
+            abandoned_pairs += pruned.seeding_stats.abandoned_partial;
+            if (reference_assignments.empty()) {
+              reference_assignments = pruned.assignments;
+            } else {
+              EXPECT_EQ(pruned.assignments, reference_assignments) << what;
+            }
+          }
+        }
+      }
+    }
+    // Parity means little if nothing was skipped; on clusters the triangle
+    // test itself must fire.
+    if (corpus.clustered) {
+      EXPECT_GT(pruned_pairs, 0) << corpus.name;
+      EXPECT_GT(abandoned_pairs, 0) << corpus.name;
+    }
+  }
+  common::SetThreadCount(saved_threads);
+  simd::SetBackendForTesting(saved_backend);
+}
+
 TEST(PruningTest, ExactPathReportsFullScanTelemetry) {
   const std::vector<Series> series = MakeSeries(30, 48, 404);
   GateGuard gate_guard;
@@ -650,6 +792,10 @@ TEST(PruningTest, ExactPathReportsFullScanTelemetry) {
   }
   EXPECT_EQ(r.distances_computed,
             static_cast<long long>(r.iterations) * series.size() * 3);
+  // Random initialization runs no seeding scan.
+  EXPECT_EQ(r.seeding_stats.computed, 0);
+  EXPECT_EQ(r.seeding_stats.pruned_bounds, 0);
+  EXPECT_EQ(r.seeding_stats.abandoned_partial, 0);
 }
 
 TEST(PruningTest, PruneGateOffForcesExactScan) {
