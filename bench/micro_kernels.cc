@@ -2,7 +2,7 @@
 // complexity claims of §3.1 and §3.3 of the paper:
 //   - FFT cost vs transform size (O(m log m), power-of-two vs Bluestein);
 //   - SBD vs its ablations (padded FFT vs exact-length FFT vs naive O(m^2)),
-//     the runtime column of Table 2;
+//     the runtime column of Table 2, plus the spectrum-cached pair distance;
 //   - ED vs cDTW vs DTW distance kernels;
 //   - shape extraction via power iteration vs full eigendecomposition.
 
@@ -12,6 +12,7 @@
 
 #include "common/random.h"
 #include "core/sbd.h"
+#include "core/sbd_engine.h"
 #include "core/shape_extraction.h"
 #include "distance/dtw.h"
 #include "distance/euclidean.h"
@@ -74,6 +75,21 @@ BENCHMARK(BM_Sbd<kshape::core::CrossCorrelationImpl::kFftNoPow2>)
     ->Name("BM_Sbd_NoPow2")->Arg(128)->Arg(512)->Arg(1024);
 BENCHMARK(BM_Sbd<kshape::core::CrossCorrelationImpl::kNaive>)
     ->Name("BM_Sbd_NoFFT")->Arg(128)->Arg(512)->Arg(1024);
+
+// One cached pair: the distance every k-Shape assignment, seeding and
+// Predict call pays once the spectra exist — the fused product-unpack, one
+// half-size inverse transform and the peak scan, no forward transforms.
+void BM_SbdCached(benchmark::State& state) {
+  const std::size_t m = static_cast<std::size_t>(state.range(0));
+  kshape::common::Rng rng(3);
+  const std::vector<Series> pair = {RandomSeries(m, &rng),
+                                    RandomSeries(m, &rng)};
+  const kshape::core::SbdEngine engine(pair);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.Distance(0, 1));
+  }
+}
+BENCHMARK(BM_SbdCached)->Arg(128)->Arg(512)->Arg(1024);
 
 void BM_Euclidean(benchmark::State& state) {
   const std::size_t m = static_cast<std::size_t>(state.range(0));

@@ -24,11 +24,15 @@
 #    (backends, spectrum layouts, pruning, extraction, model round trips) is
 #    asserted by the tier-1 suites, not by bench binaries.
 # 2. -march=native release build: the strictest determinism setting — the
-#    compiler is free to fuse/vectorize everything OUTSIDE the pinned kernel
-#    TUs, so tier-1 passing here proves the -ffp-contract=off firewalls
-#    around src/simd/ actually hold. simd_kernels_test.cc carries the same
-#    firewall (tests/CMakeLists.txt), so its unfused std::complex reference
-#    stays unfused on FMA hosts.
+#    compiler is free to fuse/vectorize everything OUTSIDE the pinned TUs,
+#    so tier-1 passing here proves the firewalls actually hold: the kernel
+#    TUs of src/simd/, the transform TUs of src/fft/ and the SBD engine's
+#    distance TU (src/model/CMakeLists), so native spectra, cross-
+#    correlations and cached distances are bitwise the default build's.
+#    simd_kernels_test.cc and rfft_test.cc carry the same firewall
+#    (tests/CMakeLists.txt), so their unfused std::complex references —
+#    rfft_test's classic-transform oracle among them — stay unfused on FMA
+#    hosts.
 # 3. ThreadSanitizer build; parallel_test, thread_pool_test, sbd_cache_test,
 #    rfft_test, simd_kernels_test, pruning_test, sharded_store_test,
 #    shape_extraction_test, minibatch_kshape_test, fitted_model_test,
@@ -111,7 +115,7 @@ cmake -B "${NATIVE_DIR}" -S . -DCMAKE_BUILD_TYPE=Release \
       -DKSHAPE_MARCH_NATIVE=ON
 cmake --build "${NATIVE_DIR}" -j "${JOBS}"
 
-echo "==> tier1 tests under -march=native (kernel TU contract firewall)"
+echo "==> tier1 tests under -march=native (kernel, transform and engine firewalls)"
 (cd "${NATIVE_DIR}" && ctest -L tier1 --output-on-failure -j "${JOBS}")
 
 # Each sanitizer stage names its suites once: the same list is built and run.

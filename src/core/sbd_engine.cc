@@ -1,10 +1,6 @@
 #include "core/sbd_engine.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -60,69 +56,6 @@ void FillBoundPlane(std::size_t fft_len, std::size_t channels,
   }
 }
 
-// Lag-scan early abandoning (the inverse-transform-side sibling of the
-// spectral NCC bound). Chunk cadence of the scan and the relative margin the
-// stop rule keeps below the best-so-far: |cc[t]| <= sqrt(Σ_{u >= t} cc[u]^2),
-// so once the remaining suffix energy certifies every unseen lag is strictly
-// below the running peak, the rest of the buffer cannot change the result.
-constexpr std::size_t kPeakChunk = 64;
-constexpr double kPeakAbandonMargin = 1e-9;
-
-// Process-wide lag telemetry (relaxed: counters only, no ordering needed).
-std::atomic<long long> g_peak_lags_scanned{0};
-std::atomic<long long> g_peak_lags_skipped{0};
-
-// Peak of the cc lag buffer, abandoning the tail when the checkpointed
-// suffix energies prove it cannot win. Bit-identical to simd::PeakScan(cc):
-// a chunk is skipped only when sqrt(suffix) <= best·(1 - margin); summation
-// rounding underestimates the suffix norm by far less than the margin, so
-// every skipped lag is *strictly* below best — it can neither beat the value
-// nor steal the lowest-index tie-break. The strict-greater chunk combine
-// preserves the kernel's lowest-index-of-the-max contract across chunk
-// boundaries. Gated on KSHAPE_PRUNE like every other bound-driven shortcut.
-simd::Peak PeakScanWithAbandon(const std::vector<double>& cc) {
-  const std::size_t n = cc.size();
-  if (!PruningEnabled() || n <= kPeakChunk) {
-    g_peak_lags_scanned.fetch_add(static_cast<long long>(n),
-                                  std::memory_order_relaxed);
-    return simd::PeakScan(cc);
-  }
-  // Checkpointed suffix energies: suffix[c] = Σ_{t >= 64c} cc[t]^2, built by
-  // one backward pass (cheap next to the inverse transform that made cc).
-  static thread_local std::vector<double> suffix;
-  const std::size_t ntail = (n + kPeakChunk - 1) / kPeakChunk;
-  suffix.resize(ntail);
-  double energy = 0.0;
-  for (std::size_t c = ntail; c-- > 0;) {
-    const std::size_t lo = c * kPeakChunk;
-    std::size_t t = c + 1 == ntail ? n : lo + kPeakChunk;
-    for (; t > lo; --t) energy += cc[t - 1] * cc[t - 1];
-    suffix[c] = energy;
-  }
-  simd::Peak best;
-  best.value = -std::numeric_limits<double>::infinity();
-  std::size_t c = 0;
-  for (; c < ntail; ++c) {
-    if (best.value > 0.0 &&
-        std::sqrt(suffix[c]) <= best.value * (1.0 - kPeakAbandonMargin)) {
-      break;
-    }
-    const std::size_t lo = c * kPeakChunk;
-    const std::size_t hi = c + 1 == ntail ? n : lo + kPeakChunk;
-    const simd::Peak p = simd::Active().peak_scan(cc.data() + lo, hi - lo);
-    if (p.value > best.value) {
-      best.value = p.value;
-      best.index = lo + p.index;
-    }
-  }
-  const std::size_t scanned = c == ntail ? n : c * kPeakChunk;
-  g_peak_lags_scanned.fetch_add(static_cast<long long>(scanned),
-                                std::memory_order_relaxed);
-  g_peak_lags_skipped.fetch_add(static_cast<long long>(n - scanned),
-                                std::memory_order_relaxed);
-  return best;
-}
-
 // Peak of Σ_c cc_c, where `channel_cc(c, &cc)` fills channel c's lags (one
 // inverse transform), summed lag by lag in channel order. The buffers are
 // thread_local so concurrent per-pair evaluations never share them.
@@ -130,14 +63,14 @@ template <typename ChannelCc>
 simd::Peak SummedPeak(std::size_t channels, const ChannelCc& channel_cc) {
   static thread_local std::vector<double> cc;
   channel_cc(0, &cc);
-  if (channels == 1) return PeakScanWithAbandon(cc);
+  if (channels == 1) return simd::PeakScan(cc);
   static thread_local std::vector<double> total;
   total.assign(cc.begin(), cc.end());
   for (std::size_t c = 1; c < channels; ++c) {
     channel_cc(c, &cc);
     for (std::size_t t = 0; t < total.size(); ++t) total[t] += cc[t];
   }
-  return PeakScanWithAbandon(total);
+  return simd::PeakScan(total);
 }
 
 common::EnvGate g_pruning{"KSHAPE_PRUNE"};
@@ -150,17 +83,9 @@ void SetPruningEnabledForTesting(bool enabled) {
   g_pruning.SetForTesting(enabled);
 }
 
-PeakScanTelemetry PeakScanStats() {
-  PeakScanTelemetry t;
-  t.lags_scanned = g_peak_lags_scanned.load(std::memory_order_relaxed);
-  t.lags_skipped = g_peak_lags_skipped.load(std::memory_order_relaxed);
-  return t;
-}
+PeakScanTelemetry PeakScanStats() { return PeakScanTelemetry{}; }
 
-void ResetPeakScanStatsForTesting() {
-  g_peak_lags_scanned.store(0, std::memory_order_relaxed);
-  g_peak_lags_skipped.store(0, std::memory_order_relaxed);
-}
+void ResetPeakScanStatsForTesting() {}
 
 SbdEngine::SbdEngine(const tseries::SeriesBatch& series,
                      CrossCorrelationImpl impl, bool use_half_spectrum,
@@ -310,9 +235,9 @@ double SbdEngine::Distance(const Query& q, std::size_t i, int* shift) const {
     return 1.0;
   }
   // The peak MaxNcc reports, read as a distance. `1 - raw·(1/den)` stays one
-  // expression rather than `1 - MaxNcc().value`: where FMA contraction is
-  // allowed (-march=native), the rounded product could then fuse into the
-  // subtraction at some call sites and not at others.
+  // expression rather than `1 - MaxNcc().value`, with the product rounded
+  // before the subtraction in every build: this TU compiles with
+  // -ffp-contract=off, so -march=native cannot fuse it.
   const simd::Peak raw = RawPeak(q, i);
   if (shift != nullptr) *shift = ShiftOf(raw.index);
   return 1.0 - raw.value * (1.0 / den);

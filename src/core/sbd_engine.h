@@ -21,7 +21,8 @@ namespace kshape::core {
 /// exact scans), "on" or unset enables them, anything else aborts. It is
 /// the only pruning switch: the k-Shape fit (its ++ seeding scan and its
 /// assignment), Predict, OnlineScorer and the SBD classify scanner all read
-/// it, so off forces the exhaustive exact scans everywhere.
+/// it, so off forces the exhaustive exact scans everywhere. The NCC peak
+/// scan itself never reads it: every computed distance walks all 2m-1 lags.
 bool PruningEnabled();
 
 /// Replaces the gate for the rest of the process (tests comparing pruned and
@@ -29,20 +30,19 @@ bool PruningEnabled();
 /// regions.
 void SetPruningEnabledForTesting(bool enabled);
 
-/// Process-wide telemetry of the lag-scan early abandon inside the cached
-/// NCC peak scans: lags actually compared versus lags skipped because the
-/// checkpointed suffix energy of the cc buffer certified the rest of the
-/// scan could not beat the running peak (exactness-preserving — the returned
-/// peak value AND index are bit-identical to the full scan). Relaxed atomic
-/// counters; cumulative since process start (or the last reset).
+/// Telemetry of the retired lag-scan early abandon. The NCC peak scan now
+/// walks every lag (a suffix-energy pass cost more than the scan it
+/// shortened), so both counters read 0 by construction. The type and the
+/// two functions stay only because the end-to-end benchmark still reads
+/// them for `sbd.lags_skipped_ratio` (which reads 0); they go with the next
+/// benchmark change.
 struct PeakScanTelemetry {
   long long lags_scanned = 0;
   long long lags_skipped = 0;
 };
 PeakScanTelemetry PeakScanStats();
 
-/// Zeroes the lag-scan counters (tests asserting on one workload's deltas).
-/// Call between parallel regions.
+/// No-op (see PeakScanTelemetry).
 void ResetPeakScanStatsForTesting();
 
 /// Spectrum cache for SBD over a fixed set of equal-length series.

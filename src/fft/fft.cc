@@ -27,52 +27,88 @@ bool IsPowerOfTwo(std::size_t n) { return n >= 1 && (n & (n - 1)) == 0; }
 
 Radix2Plan::Radix2Plan(std::size_t n) : n_(n) {
   KSHAPE_CHECK_MSG(IsPowerOfTwo(n), "Radix2Plan requires a power-of-two size");
-  log2n_ = 0;
-  while ((std::size_t{1} << log2n_) < n_) ++log2n_;
+  if (n_ < 2) return;
+  std::size_t log2n = 0;
+  while ((std::size_t{1} << log2n) < n_) ++log2n;
 
-  bit_reverse_.resize(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    std::size_t rev = 0;
-    std::size_t v = i;
-    for (std::size_t b = 0; b < log2n_; ++b) {
-      rev = (rev << 1) | (v & 1);
-      v >>= 1;
-    }
-    bit_reverse_[i] = rev;
-  }
-
-  twiddles_.resize(n_ / 2);
+  // The n-point table w[k] = e^{-2*pi*i*k/n}, k < n/2; stage len reads its
+  // entries k = j*n/len, so every butterfly multiplies by the same bits the
+  // classic strided-table transform does.
+  std::vector<Complex> twiddles(n_ / 2);
   for (std::size_t k = 0; k < n_ / 2; ++k) {
     const double angle = -2.0 * kPi * static_cast<double>(k) /
                          static_cast<double>(n_);
-    twiddles_[k] = Complex(std::cos(angle), std::sin(angle));
+    twiddles[k] = Complex(std::cos(angle), std::sin(angle));
   }
-}
-
-void Radix2Plan::TransformImpl(Complex* data, bool inverse) const {
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t j = bit_reverse_[i];
-    if (i < j) std::swap(data[i], data[j]);
-  }
-  // The butterfly stages run through the dispatched radix2_pass kernel
-  // (scalar or AVX2, bit-identical by the kernel contract).
-  // std::complex<double> is array-layout-compatible with double[2], so the
-  // data buffer and the twiddle table stream into the kernel directly.
-  const auto& kernels = simd::Active();
-  double* interleaved = reinterpret_cast<double*>(data);
-  const double* twiddles = reinterpret_cast<const double*>(twiddles_.data());
+  tw_re_.resize(n_ - 1);
+  tw_im_.resize(n_ - 1);
   for (std::size_t len = 2; len <= n_; len <<= 1) {
-    kernels.radix2_pass(interleaved, twiddles, n_, len, n_ / len, inverse);
+    const std::size_t half = len / 2;
+    for (std::size_t j = 0; j < half; ++j) {
+      tw_re_[half - 1 + j] = twiddles[j * (n_ / len)].real();
+      tw_im_[half - 1 + j] = twiddles[j * (n_ / len)].imag();
+    }
   }
-  if (inverse) {
-    const double scale = 1.0 / static_cast<double>(n_);
-    for (std::size_t i = 0; i < n_; ++i) data[i] *= scale;
+
+  quarter_rev_.resize(n_ / 4);
+  for (std::size_t r = 0; r < n_ / 4; ++r) {
+    std::size_t rev = 0;
+    std::size_t v = r;
+    for (std::size_t b = 0; b + 2 < log2n; ++b) {
+      rev = (rev << 1) | (v & 1);
+      v >>= 1;
+    }
+    quarter_rev_[r] = rev;
   }
 }
 
-void Radix2Plan::Forward(Complex* data) const { TransformImpl(data, false); }
+void Radix2Plan::Transform(const double* in_re, const double* in_im,
+                           double* out_re, double* out_im,
+                           bool inverse) const {
+  simd::Radix2Tables tables;
+  tables.n = n_;
+  tables.tw_re = tw_re_.data();
+  tables.tw_im = tw_im_.data();
+  tables.quarter_rev = quarter_rev_.data();
+  simd::Active().radix2_transform(tables, in_re, in_im, out_re, out_im,
+                                  inverse);
+}
 
-void Radix2Plan::Inverse(Complex* data) const { TransformImpl(data, true); }
+void Radix2Plan::TransformInterleaved(Complex* data, bool inverse) const {
+  // Per-thread split scratch (in and out planes), grown to the largest size
+  // seen: concurrent workers never share it (the thread-count-invariance
+  // guarantee).
+  static thread_local std::vector<double> planes;
+  if (planes.size() < 4 * n_) planes.resize(4 * n_);
+  double* in_re = planes.data();
+  double* in_im = in_re + n_;
+  double* out_re = in_im + n_;
+  double* out_im = out_re + n_;
+  for (std::size_t i = 0; i < n_; ++i) {
+    in_re[i] = data[i].real();
+    in_im[i] = data[i].imag();
+  }
+  Transform(in_re, in_im, out_re, out_im, inverse);
+  if (inverse) {
+    // Exact: n is a power of two.
+    const double scale = 1.0 / static_cast<double>(n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      data[i] = Complex(out_re[i] * scale, out_im[i] * scale);
+    }
+  } else {
+    for (std::size_t i = 0; i < n_; ++i) {
+      data[i] = Complex(out_re[i], out_im[i]);
+    }
+  }
+}
+
+void Radix2Plan::Forward(Complex* data) const {
+  TransformInterleaved(data, false);
+}
+
+void Radix2Plan::Inverse(Complex* data) const {
+  TransformInterleaved(data, true);
+}
 
 const Radix2Plan& GetPlan(std::size_t n) {
   // Function-local static pointer so the cache is never destroyed (the plans
@@ -130,10 +166,9 @@ class BluesteinPlan {
   // Expresses the n-point DFT of `data` as a linear convolution with the
   // cached kernel, evaluated with power-of-two FFTs.
   void Forward(std::vector<Complex>* data) const {
-    // Per-thread scratch keyed by the padded size, so concurrent workers
-    // transforming the same length never share the a-buffer.
-    static thread_local std::map<std::size_t, std::vector<Complex>> scratch;
-    std::vector<Complex>& a = scratch[m_];
+    // Per-thread scratch, so concurrent workers transforming the same
+    // length never share the a-buffer.
+    static thread_local std::vector<Complex> a;
     a.assign(m_, Complex(0, 0));
     for (std::size_t j = 0; j < n_; ++j) a[j] = (*data)[j] * chirp_[j];
 
@@ -223,11 +258,10 @@ void CrossCorrelationFromSpectra(const std::vector<Complex>& x_spectrum,
   KSHAPE_CHECK(m >= 1);
   KSHAPE_CHECK(len >= 2 * m - 1);
 
-  // Per-thread product buffer keyed by length, as in CrossCorrelationImpl:
-  // concurrent per-pair evaluations never share scratch, which the bitwise
+  // Per-thread product buffer, as in CrossCorrelationImpl: concurrent
+  // per-pair evaluations never share scratch, which the bitwise
   // thread-count-invariance guarantee relies on.
-  static thread_local std::map<std::size_t, std::vector<Complex>> scratch;
-  std::vector<Complex>& c = scratch[len];
+  static thread_local std::vector<Complex> c;
   c.resize(len);
   // Vectorized X[k] * conj(Y[k]) over the packed (re, im) spectra.
   // std::complex<double> is array-layout-compatible with double[2], so the
@@ -260,12 +294,11 @@ namespace {
 
 // Shared implementation of the full cross-correlation sequence: transforms
 // z = x + i*y once at length fft_len, unpacks the two spectra, multiplies
-// X[k] * conj(Y[k]), and inverse-transforms. SBD calls this once per distance
-// evaluation — the hottest path in the library — so the transform buffers are
-// cached per size instead of being reallocated on every call. The cache is
-// thread_local: every ParallelFor worker gets its own scratch, so concurrent
-// SBD evaluations never share FFT buffers (a requirement of the library's
-// thread-count-invariance guarantee).
+// X[k] * conj(Y[k]), and inverse-transforms. Every direct Sbd() call lands
+// here, so the transform buffers are reused instead of being reallocated on
+// every call. They are thread_local: every ParallelFor worker gets its own
+// scratch, so concurrent SBD evaluations never share FFT buffers (a
+// requirement of the library's thread-count-invariance guarantee).
 std::vector<double> CrossCorrelationImpl(std::span<const double> x,
                                          std::span<const double> y,
                                          std::size_t fft_len) {
@@ -280,8 +313,7 @@ std::vector<double> CrossCorrelationImpl(std::span<const double> x,
   };
   // A value (not a leaked pointer like the plan cache) so each pool worker's
   // scratch is reclaimed when its thread exits.
-  static thread_local std::map<std::size_t, Workspace> workspaces;
-  Workspace& ws = workspaces[fft_len];
+  static thread_local Workspace ws;
   ws.z.assign(fft_len, Complex(0, 0));
   ws.c.resize(fft_len);
   std::vector<Complex>& z = ws.z;

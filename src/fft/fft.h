@@ -20,9 +20,12 @@ bool IsPowerOfTwo(std::size_t n);
 /// A precomputed transform plan for a power-of-two size.
 ///
 /// Mirrors the FFTW "plan" idiom: constructing a plan performs the O(n) setup
-/// (bit-reversal permutation table and twiddle factors) once, after which
-/// transforms of that size run with no allocation. Plans are immutable and
-/// safe to share.
+/// (per-stage twiddle planes and the bit-reversal table of the first pass)
+/// once, after which transforms of that size run with no allocation. Every
+/// transform is one call of the dispatched simd radix2_transform kernel over
+/// split re/im planes: a first pass that reads the input at bit-reversed
+/// positions and runs the len-2 and len-4 stages in registers, then one pass
+/// per later stage. Plans are immutable and safe to share.
 class Radix2Plan {
  public:
   /// Builds a plan for `n`-point transforms. Requires n to be a power of two.
@@ -34,17 +37,27 @@ class Radix2Plan {
   /// In-place inverse DFT of `data` (length n()), including the 1/n scaling.
   void Inverse(Complex* data) const;
 
+  /// The split-plane transform both of the above run: writes the unscaled
+  /// forward (or, with `inverse`, conjugate-twiddle) DFT of the n() values
+  /// in in_re / in_im to out_re / out_im. Out of place: the output planes
+  /// may not alias the input planes. The caller applies any 1/n scale.
+  void Transform(const double* in_re, const double* in_im, double* out_re,
+                 double* out_im, bool inverse) const;
+
   /// The transform size.
   std::size_t n() const { return n_; }
 
  private:
-  void TransformImpl(Complex* data, bool inverse) const;
+  // Deinterleaves into per-thread split scratch, transforms, and
+  // interleaves back, applying the exact 1/n scale on the way out when
+  // `inverse`.
+  void TransformInterleaved(Complex* data, bool inverse) const;
 
   std::size_t n_;
-  std::size_t log2n_;
-  std::vector<std::size_t> bit_reverse_;
-  // Twiddles for the forward direction; the inverse uses their conjugates.
-  std::vector<Complex> twiddles_;
+  // Stage twiddle planes and first-pass bit reversal (simd::Radix2Tables).
+  std::vector<double> tw_re_;
+  std::vector<double> tw_im_;
+  std::vector<std::size_t> quarter_rev_;
 };
 
 /// Returns a cached plan for the power-of-two size `n`.

@@ -1,9 +1,7 @@
 #include "fft/rfft.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -18,19 +16,48 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
-// Per-thread complex scratch for the generic (non-power-of-two) fallback,
-// keyed by transform size — the same discipline as every other FFT scratch
-// buffer: concurrent workers never share, which the thread-count-invariance
-// guarantee relies on.
-std::vector<Complex>& GenericScratch(std::size_t n) {
-  static thread_local std::map<std::size_t, std::vector<Complex>> scratch;
-  return scratch[n];
+// Per-thread complex scratch for the generic (non-power-of-two) fallback.
+// Every FFT scratch buffer follows the same discipline: concurrent workers
+// never share, which the thread-count-invariance guarantee relies on.
+std::vector<Complex>& GenericScratch() {
+  static thread_local std::vector<Complex> scratch;
+  return scratch;
 }
 
-// Per-thread packed scratch (length n/2) for the power-of-two path.
-std::vector<Complex>& PackedScratch(std::size_t n) {
-  static thread_local std::map<std::size_t, std::vector<Complex>> scratch;
-  return scratch[n];
+// Per-thread split planes of the power-of-two path: the half-size spectrum
+// z and its transform t, h values each. No packed entry point nests another,
+// so one set serves them all.
+struct PackedPlanes {
+  double* z_re;
+  double* z_im;
+  double* t_re;
+  double* t_im;
+};
+PackedPlanes PackedScratch(std::size_t h) {
+  static thread_local std::vector<double> planes;
+  if (planes.size() < 4 * h) planes.resize(4 * h);
+  double* p = planes.data();
+  return PackedPlanes{p, p + h, p + 2 * h, p + 3 * h};
+}
+
+// out[i] = time[begin + i] * scale for i < count, where time is the
+// interleaving time[2j] = re[j], time[2j+1] = im[j] of a half-size inverse
+// transform: the deinterleave, the exact 1/h scale and the lag copy of the
+// real inverse in one pass.
+void InterleaveScaled(const double* re, const double* im, std::size_t begin,
+                      std::size_t count, double scale, double* out) {
+  std::size_t t = begin;
+  const std::size_t end = begin + count;
+  if (t < end && t % 2 == 1) {
+    *out++ = im[t / 2] * scale;
+    ++t;
+  }
+  for (; t + 2 <= end; t += 2) {
+    out[0] = re[t / 2] * scale;
+    out[1] = im[t / 2] * scale;
+    out += 2;
+  }
+  if (t < end) *out = re[t / 2] * scale;
 }
 
 }  // namespace
@@ -41,11 +68,13 @@ RfftPlan::RfftPlan(std::size_t n) : n_(n) {
   half_plan_ = packed_ ? &GetPlan(n / 2) : nullptr;
   if (packed_) {
     // Unpack twiddles e^{-2*pi*i*k/n} for k in [0, n/2] — one per packed bin.
-    twiddles_.resize(bins());
+    tw_re_.resize(bins());
+    tw_im_.resize(bins());
     for (std::size_t k = 0; k < bins(); ++k) {
       const double angle =
           -2.0 * kPi * static_cast<double>(k) / static_cast<double>(n_);
-      twiddles_[k] = Complex(std::cos(angle), std::sin(angle));
+      tw_re_[k] = std::cos(angle);
+      tw_im_[k] = std::sin(angle);
     }
   }
 }
@@ -60,7 +89,7 @@ void RfftPlan::Forward(std::span<const double> x, double* out_re,
     // even — is exactly real for a real input, so its imaginary part is
     // stored as an exact zero rather than the transform's rounding residue;
     // this is what makes the packed-bin conjugate-symmetry invariant exact.
-    std::vector<Complex>& data = GenericScratch(n_);
+    std::vector<Complex>& data = GenericScratch();
     data.assign(n_, Complex(0, 0));
     for (std::size_t i = 0; i < x.size(); ++i) data[i] = Complex(x[i], 0.0);
     fft::Forward(&data);
@@ -75,7 +104,8 @@ void RfftPlan::Forward(std::span<const double> x, double* out_re,
   }
 
   // Power-of-two path: pack even/odd samples into one half-size complex
-  // sequence z[j] = x[2j] + i*x[2j+1], transform once at h = n/2, and unpack
+  // sequence z[j] = x[2j] + i*x[2j+1] (split planes), transform once at
+  // h = n/2, and unpack
   //   X[k] = E[k] + w^k * O[k],  w = e^{-2*pi*i/n},
   // where E[k] = (Z[k] + conj(Z[h-k])) / 2 and
   //       O[k] = (Z[k] - conj(Z[h-k])) / (2i)
@@ -83,25 +113,23 @@ void RfftPlan::Forward(std::span<const double> x, double* out_re,
   // straight from Z[0]: X[0] = Re(Z0) + Im(Z0), X[h] = Re(Z0) - Im(Z0), both
   // exactly real.
   const std::size_t h = n_ / 2;
-  std::vector<Complex>& z = PackedScratch(n_);
-  z.resize(h);
+  const PackedPlanes p = PackedScratch(h);
   for (std::size_t j = 0; j < h; ++j) {
-    const double re = 2 * j < x.size() ? x[2 * j] : 0.0;
-    const double im = 2 * j + 1 < x.size() ? x[2 * j + 1] : 0.0;
-    z[j] = Complex(re, im);
+    p.z_re[j] = 2 * j < x.size() ? x[2 * j] : 0.0;
+    p.z_im[j] = 2 * j + 1 < x.size() ? x[2 * j + 1] : 0.0;
   }
-  half_plan_->Forward(z.data());
+  half_plan_->Transform(p.z_re, p.z_im, p.t_re, p.t_im, /*inverse=*/false);
 
-  out_re[0] = z[0].real() + z[0].imag();
+  out_re[0] = p.t_re[0] + p.t_im[0];
   out_im[0] = 0.0;
-  out_re[h] = z[0].real() - z[0].imag();
+  out_re[h] = p.t_re[0] - p.t_im[0];
   out_im[h] = 0.0;
   for (std::size_t k = 1; k < h; ++k) {
-    const Complex zk = z[k];
-    const Complex zmk = std::conj(z[h - k]);
+    const Complex zk(p.t_re[k], p.t_im[k]);
+    const Complex zmk = std::conj(Complex(p.t_re[h - k], p.t_im[h - k]));
     const Complex even = 0.5 * (zk + zmk);
     const Complex odd = Complex(0, -0.5) * (zk - zmk);
-    const Complex bin = even + twiddles_[k] * odd;
+    const Complex bin = even + Complex(tw_re_[k], tw_im_[k]) * odd;
     out_re[k] = bin.real();
     out_im[k] = bin.imag();
   }
@@ -117,7 +145,7 @@ void RfftPlan::Inverse(const double* re, const double* im,
     // Generic fallback: rebuild the full conjugate-symmetric spectrum from
     // the packed bins and run the full inverse. Bin 0 (and bin n/2 when n is
     // even) is treated as real per the packing contract.
-    std::vector<Complex>& data = GenericScratch(n_);
+    std::vector<Complex>& data = GenericScratch();
     data.resize(n_);
     const std::size_t b = bins();
     data[0] = Complex(re[0], 0.0);
@@ -128,34 +156,32 @@ void RfftPlan::Inverse(const double* re, const double* im,
     for (std::size_t i = 0; i < n_; ++i) out[i] = data[i].real();
     return;
   }
+  // Exact algebraic inverse of the packed forward: the fused unpack
+  // recovers the half-size spectrum Z[k] = E[k] + i*O[k] (HalfInverse), the
+  // h-point inverse transform of Z interleaves to x[2j] = Re(z[j]),
+  // x[2j+1] = Im(z[j]), and its 1/h scale IS the full 1/n real inverse,
+  // because E and O are exactly the h-point DFTs of the even/odd samples.
+  const std::size_t h = n_ / 2;
+  const PackedPlanes p = PackedScratch(h);
+  HalfInverse(re, im, nullptr, nullptr, p.z_re, p.z_im, p.t_re, p.t_im);
+  InterleaveScaled(p.t_re, p.t_im, 0, n_, 1.0 / static_cast<double>(h), out);
+}
 
-  // Exact algebraic inverse of the packed forward: recover the half-size
-  // spectrum Z[k] = E[k] + i*O[k] from the packed bins C[0..h],
+void RfftPlan::HalfInverse(const double* x_re, const double* x_im,
+                           const double* y_re, const double* y_im,
+                           double* z_re, double* z_im, double* t_re,
+                           double* t_im) const {
+  // From the packed bins C[0..h] (C[k+h] = conj(C[h-k]) by the real-input
+  // symmetry):
   //   E[k] = (C[k] + conj(C[h-k])) / 2,
   //   O[k] = (C[k] - conj(C[h-k])) * conj(w^k) / 2,
-  // (C[k+h] = conj(C[h-k]) by the real-input symmetry), then one half-size
-  // inverse transform — whose built-in 1/h scaling IS the full 1/n real
-  // inverse, because E and O are exactly the h-point DFTs of the even/odd
-  // samples — and deinterleave x[2j] = Re(z[j]), x[2j+1] = Im(z[j]).
+  //   z[k] = E[k] + i*O[k],
+  // one kernel pass that also forms C = X * conj(Y) in registers when Y is
+  // given, then the unscaled half-size inverse transform of z.
   const std::size_t h = n_ / 2;
-  std::vector<Complex>& z = PackedScratch(n_);
-  z.resize(h);
-  const auto bin = [&](std::size_t k) {
-    // Bins 0 and h are real by the packing contract; ignore stored imag.
-    return Complex(re[k], (k == 0 || k == h) ? 0.0 : im[k]);
-  };
-  for (std::size_t k = 0; k < h; ++k) {
-    const Complex ck = bin(k);
-    const Complex cmk = std::conj(bin(h - k));
-    const Complex even = 0.5 * (ck + cmk);
-    const Complex odd = 0.5 * (ck - cmk) * std::conj(twiddles_[k]);
-    z[k] = even + Complex(0, 1) * odd;
-  }
-  half_plan_->Inverse(z.data());
-  for (std::size_t j = 0; j < h; ++j) {
-    out[2 * j] = z[j].real();
-    out[2 * j + 1] = z[j].imag();
-  }
+  simd::Active().mul_conj_unpack(x_re, x_im, y_re, y_im, tw_re_.data(),
+                                 tw_im_.data(), h, z_re, z_im);
+  half_plan_->Transform(z_re, z_im, t_re, t_im, /*inverse=*/true);
 }
 
 const RfftPlan& GetRfftPlan(std::size_t n) {
@@ -214,42 +240,41 @@ void CrossCorrelationFromRfft(const RfftPlan& plan, const RfftView& x,
   KSHAPE_CHECK_MSG(plan.n() == len, "plan/spectrum length mismatch");
   KSHAPE_CHECK(m >= 1);
   KSHAPE_CHECK(len >= 2 * m - 1);
-
-  // Per-thread product planes + time-domain buffer keyed by length, as in
-  // CrossCorrelationFromSpectra.
-  struct Workspace {
-    std::vector<double> prod_re;
-    std::vector<double> prod_im;
-    std::vector<double> time;
-  };
-  static thread_local std::map<std::size_t, Workspace> scratch;
-  Workspace& ws = scratch[len];
-  const std::size_t b = RfftBins(len);
-  ws.prod_re.resize(b);
-  ws.prod_im.resize(b);
-  ws.time.resize(len);
-
-  // C[k] = X[k] * conj(Y[k]) over the packed bins only — the upper half of
-  // the product spectrum is implied by symmetry and never materialized. The
-  // SoA kernel is elementwise, so this product is bit-identical across
-  // backends. On the real bins (0, and len/2 when len is even) both factors
-  // have exact-zero imaginary parts, so the product's imaginary part is an
-  // exact zero too — consistent with Inverse's real-bin contract.
-  simd::Active().complex_mul_conj_soa(x.re, x.im, y.re, y.im,
-                                      ws.prod_re.data(), ws.prod_im.data(), b);
-  // The hot half of the cached path: ONE inverse real transform per pair.
-  plan.Inverse(ws.prod_re.data(), ws.prod_im.data(), ws.time.data());
-
-  // Identical lag layout to CrossCorrelationFft: cc[i] = R_{i-(m-1)},
-  // negative lags at the top of the circular buffer.
   cc->resize(2 * m - 1);
-  for (std::size_t i = 0; i < 2 * m - 1; ++i) {
-    const long long lag =
-        static_cast<long long>(i) - static_cast<long long>(m - 1);
-    const std::size_t idx = lag >= 0 ? static_cast<std::size_t>(lag)
-                                     : len - static_cast<std::size_t>(-lag);
-    (*cc)[i] = ws.time[idx];
+
+  if (!plan.packed_) {
+    // Generic (Bluestein) lengths: the product planes C[k] = X[k]*conj(Y[k])
+    // (complex_mul_conj's arithmetic), then the generic inverse. On the real
+    // bins both factors have exact-zero imaginary parts, so the product's
+    // is an exact zero too — consistent with Inverse's real-bin contract.
+    const std::size_t b = RfftBins(len);
+    static thread_local std::vector<double> scratch;
+    if (scratch.size() < 2 * b + len) scratch.resize(2 * b + len);
+    double* prod_re = scratch.data();
+    double* prod_im = prod_re + b;
+    double* time = prod_im + b;
+    for (std::size_t k = 0; k < b; ++k) {
+      prod_re[k] = x.re[k] * y.re[k] + x.im[k] * y.im[k];
+      prod_im[k] = x.im[k] * y.re[k] - x.re[k] * y.im[k];
+    }
+    plan.Inverse(prod_re, prod_im, time);
+    // Negative lags live at the top of the circular buffer.
+    std::copy(time + len - (m - 1), time + len, cc->data());
+    std::copy(time, time + m, cc->data() + (m - 1));
+    return;
   }
+
+  // The hot half of the cached path: ONE fused product-unpack and ONE
+  // half-size inverse transform per pair, with the interleave, the exact 1/h
+  // scale and the lag reorder folded into the write of cc. cc[i] =
+  // R_{i-(m-1)} (CrossCorrelationFft's layout): the m-1 negative lags are
+  // the top of the circular buffer, lags 0..m-1 its start.
+  const std::size_t h = len / 2;
+  const PackedPlanes p = PackedScratch(h);
+  plan.HalfInverse(x.re, x.im, y.re, y.im, p.z_re, p.z_im, p.t_re, p.t_im);
+  const double scale = 1.0 / static_cast<double>(h);
+  InterleaveScaled(p.t_re, p.t_im, len - (m - 1), m - 1, scale, cc->data());
+  InterleaveScaled(p.t_re, p.t_im, 0, m, scale, cc->data() + (m - 1));
 }
 
 void CrossCorrelationFromRfft(const RfftView& x, const RfftView& y,
@@ -265,13 +290,12 @@ std::vector<double> RfftCrossCorrelation(std::span<const double> x,
   const std::size_t fft_len = NextPowerOfTwo(2 * m - 1);
   const RfftPlan& plan = GetRfftPlan(fft_len);
 
-  // Per-thread forward planes keyed by length (the product/inverse scratch
-  // lives inside CrossCorrelationFromRfft).
+  // Per-thread forward planes (the product/inverse scratch lives inside
+  // CrossCorrelationFromRfft).
   struct Workspace {
     std::vector<double> x_re, x_im, y_re, y_im;
   };
-  static thread_local std::map<std::size_t, Workspace> scratch;
-  Workspace& ws = scratch[fft_len];
+  static thread_local Workspace ws;
   const std::size_t b = RfftBins(fft_len);
   ws.x_re.resize(b);
   ws.x_im.resize(b);

@@ -15,10 +15,11 @@ namespace kshape::fft {
 // The DFT of a real sequence is conjugate-symmetric: X[n-k] = conj(X[k]), so
 // bins (n/2, n) carry no information. The types below store only the packed
 // half spectrum — bins [0, n/2], i.e. n/2 + 1 complex values — laid out SoA
-// (separate re/im planes) so the multiply-conjugate product of the SBD path
-// runs through the shuffle-free complex_mul_conj_soa kernel. Versus the full
-// complex spectrum (n complex = 16n bytes) the packed form is 8n + 16 bytes:
-// the SBD spectrum cache memory halves.
+// (separate re/im planes), the layout of the split-plane transform, so the
+// SBD path's multiply-conjugate product is formed in registers inside the
+// fused simd::mul_conj_unpack kernel, shuffle-free, and never written out.
+// Versus the full complex spectrum (n complex = 16n bytes) the packed form
+// is 8n + 16 bytes: the SBD spectrum cache memory halves.
 //
 // Padded-length convention (shared with Spectrum / CrossCorrelationFromSpectra
 // — see fft.h): a cross-correlation of two length-m series needs a transform
@@ -33,13 +34,17 @@ namespace kshape::fft {
 /// Number of packed half-spectrum bins for an n-point real transform.
 constexpr std::size_t RfftBins(std::size_t n) { return n / 2 + 1; }
 
+struct RfftView;
+
 /// A precomputed real-input transform plan for one size n.
 ///
 /// For power-of-two n >= 2 the forward transform packs the even/odd samples
 /// into one complex sequence of length n/2, runs the cached half-size
 /// Radix2Plan, and unpacks with n/2 + 1 precomputed twiddles — roughly half
 /// the work (and half the working set) of an n-point complex transform. The
-/// inverse reverses the packing exactly. Other lengths (Bluestein, including
+/// inverse reverses the packing exactly: one fused unpack pass, one
+/// half-size split transform, and one output pass that interleaves and
+/// applies the exact 1/(n/2) scale. Other lengths (Bluestein, including
 /// the odd 2m-1 of the NoPow2 ablation) fall back to a full complex transform
 /// and pack/reconstruct the half spectrum around it: the memory saving is
 /// kept, the arithmetic saving is not. Plans are immutable and safe to share;
@@ -68,10 +73,24 @@ class RfftPlan {
   std::size_t bins() const { return RfftBins(n_); }
 
  private:
+  friend void CrossCorrelationFromRfft(const RfftPlan& plan,
+                                       const RfftView& x, const RfftView& y,
+                                       std::size_t m, std::vector<double>* cc);
+
+  // The packed inverse short of its output pass: the fused
+  // simd::mul_conj_unpack of X·conj(Y) (of X alone when y_re is null) into
+  // the half-size spectrum z, then the unscaled half-size inverse transform
+  // of z into t. Every plane holds n/2 values; requires packed_.
+  void HalfInverse(const double* x_re, const double* x_im,
+                   const double* y_re, const double* y_im, double* z_re,
+                   double* z_im, double* t_re, double* t_im) const;
+
   std::size_t n_;
   bool packed_;                  // power-of-two n >= 2: even/odd packing path
   const Radix2Plan* half_plan_;  // GetPlan(n/2) when packed_
-  std::vector<Complex> twiddles_;  // e^{-2*pi*i*k/n}, k in [0, n/2]
+  // e^{-2*pi*i*k/n}, k in [0, n/2], as split planes.
+  std::vector<double> tw_re_;
+  std::vector<double> tw_im_;
 };
 
 /// Returns a cached plan for size `n` (same never-destroyed, mutex-guarded
@@ -134,17 +153,21 @@ class BatchSpectra {
 };
 
 /// Half-spectrum counterpart of CrossCorrelationFromSpectra: forms
-/// C[k] = X[k] * conj(Y[k]) over the packed bins with the SoA kernel, runs
-/// ONE inverse real transform, and fills `cc` with the identical 2m-1 lag
-/// layout. Requires both views to share fft_len >= 2m-1.
+/// C[k] = X[k] * conj(Y[k]) over the packed bins, runs ONE inverse real
+/// transform, and fills `cc` with the identical 2m-1 lag layout. Requires
+/// both views to share fft_len >= 2m-1. On power-of-two fft_len the product
+/// lives only in registers (the fused simd::mul_conj_unpack), and the real
+/// inverse's interleave, 1/(n/2) scale and lag reorder are one write of cc
+/// from two contiguous ranges of the time buffer; the result is bitwise the
+/// product-then-inverse-then-copy sequence (tests/rfft_test.cc's oracle).
 ///
 /// Equivalence contract (mirrors the full-spectrum one): on power-of-two
 /// fft_len the half path computes the same mathematical quantity with a
 /// different rounding sequence, so it matches the full-complex paths to a
 /// tight epsilon, not bitwise. Within the half path itself the arithmetic is
 /// fixed per (spectra, m): repeated evaluations are bit-identical across
-/// backends (the SoA kernel is elementwise) and thread counts (scratch is
-/// per-thread).
+/// backends (the kernels are elementwise per output) and thread counts
+/// (scratch is per-thread).
 void CrossCorrelationFromRfft(const RfftView& x, const RfftView& y,
                               std::size_t m, std::vector<double>* cc);
 
@@ -156,7 +179,7 @@ void CrossCorrelationFromRfft(const RfftPlan& plan, const RfftView& x,
                               std::vector<double>* cc);
 
 /// Direct-path counterpart of CrossCorrelationFft: two forward half-spectrum
-/// transforms at NextPowerOfTwo(2m-1), the SoA product, one inverse. Same
+/// transforms at NextPowerOfTwo(2m-1), then CrossCorrelationFromRfft. Same
 /// lag layout and padded-length convention.
 std::vector<double> RfftCrossCorrelation(std::span<const double> x,
                                          std::span<const double> y);

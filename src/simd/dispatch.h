@@ -82,17 +82,6 @@ inline double LbKeoghSquared(std::span<const double> candidate,
                                    upper.data(), candidate.size());
 }
 
-inline void ComplexMulConjSoa(std::span<const double> a_re,
-                              std::span<const double> a_im,
-                              std::span<const double> b_re,
-                              std::span<const double> b_im,
-                              std::span<double> out_re,
-                              std::span<double> out_im) {
-  Active().complex_mul_conj_soa(a_re.data(), a_im.data(), b_re.data(),
-                                b_im.data(), out_re.data(), out_im.data(),
-                                a_re.size());
-}
-
 inline Peak PeakScan(std::span<const double> x) {
   return Active().peak_scan(x.data(), x.size());
 }
@@ -122,11 +111,6 @@ inline double AbsProductPartialSums(std::span<const double> a_mag,
   return Active().abs_product_partial_sums(a_mag.data(), b_mag.data(),
                                            a_tail.data(), b_tail.data(),
                                            a_mag.size(), threshold);
-}
-
-inline void Radix2Pass(double* data, const double* twiddles, std::size_t n,
-                       std::size_t len, std::size_t step, bool inverse) {
-  Active().radix2_pass(data, twiddles, n, len, step, inverse);
 }
 
 inline void DotAxpyRows(const double* rows, std::size_t num_rows,

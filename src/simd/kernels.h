@@ -17,6 +17,22 @@ struct Peak {
   std::size_t index = 0;
 };
 
+/// The precomputed tables of one n-point split-plane radix-2 transform
+/// (owned by fft::Radix2Plan; the kernel only reads them).
+struct Radix2Tables {
+  /// Transform size, a power of two >= 1.
+  std::size_t n = 0;
+  /// Per-stage twiddle planes for len = 2, 4, ..., n: stage len holds
+  /// w[j] = e^{-2πij/len} (the n-point table's entry j·n/len) for
+  /// j in [0, len/2), starting at offset len/2 - 1. n - 1 entries each.
+  const double* tw_re = nullptr;
+  const double* tw_im = nullptr;
+  /// For n >= 4: r -> the bit reversal of r over log2(n) - 2 bits, for
+  /// r in [0, n/4). The first pass reads the four inputs r + {0, n/2, n/4,
+  /// 3n/4} and writes outputs 4·quarter_rev[r] + {0, 1, 2, 3}.
+  const std::size_t* quarter_rev = nullptr;
+};
+
 /// One vectorized-kernel backend. Every reduction kernel accumulates into a
 /// **fixed 4-lane virtual accumulator**: lane `l` sums the terms at indices
 /// `i ≡ l (mod 4)` in increasing order, tail elements land in lane `i mod 4`,
@@ -30,8 +46,9 @@ struct Peak {
 /// `-ffp-contract=off` so the compiler cannot fuse behind our back).
 ///
 /// Elementwise kernels (axpy, scale, apply_znorm, complex_mul_conj,
-/// complex_mul_conj_soa, dtw_row) have no cross-element reduction, so their
-/// per-element rounding sequence is identical by construction.
+/// mul_conj_unpack, dtw_row) and the radix2_transform butterflies have no
+/// cross-element reduction, so their per-element rounding sequence is
+/// identical by construction.
 struct KernelTable {
   /// Backend name for logs/benchmarks ("scalar", "avx2").
   const char* name;
@@ -74,17 +91,27 @@ struct KernelTable {
   void (*complex_mul_conj)(const double* a, const double* b, double* out,
                            std::size_t n);
 
-  /// SoA (split-plane) variant of complex_mul_conj over n complex values laid
-  /// out as separate real and imaginary planes:
-  ///   out_re[k] = a_re[k]*b_re[k] + a_im[k]*b_im[k]
-  ///   out_im[k] = a_im[k]*b_re[k] - a_re[k]*b_im[k]
-  /// The same per-element arithmetic as the interleaved kernel (each product
-  /// rounded separately, no FMA), but every load/store is a plain contiguous
-  /// vector op — no shuffles — which is what makes the half-spectrum product
-  /// vectorize cleanly. Output planes may not alias the input planes.
-  void (*complex_mul_conj_soa)(const double* a_re, const double* a_im,
-                               const double* b_re, const double* b_im,
-                               double* out_re, double* out_im, std::size_t n);
+  /// The packed real-inverse unpack, fused with the cross-spectrum product.
+  /// Reads the h + 1 packed bins C[0..h] of an n = 2h point real spectrum,
+  ///   C[k] = X[k]·conj(Y[k])   when y_re is non-null: re = xr*yr + xi*yi,
+  ///                            im = xi*yr - xr*yi (complex_mul_conj's
+  ///                            arithmetic), formed in registers;
+  ///   C[k] = X[k]              when y_re is null (y_im is then ignored);
+  /// with bins 0 and h read as real (imaginary parts taken as +0). Writes
+  /// the half-size spectrum z[0..h) whose h-point inverse is the real
+  /// inverse: for k in [0, h), with ck = C[k], cmk = conj(C[h-k]) and
+  /// w = (tw_re[k], tw_im[k]) = e^{-2πik/n},
+  ///   even = 0.5·(ck + cmk),  s = 0.5·(ck - cmk),
+  ///   odd  = s·conj(w)        (re = sr*wr - si*(-wi), im = sr*(-wi) + si*wr),
+  ///   z[k] = even + (0 + 1i)·odd = (er + (0*or - oi), ei + (0*oi + or)),
+  /// which is the operation sequence std::complex<double> evaluates for
+  /// the same expressions — so z is bitwise the unfused std::complex unpack
+  /// of the complex_mul_conj product for finite inputs. Output planes may not
+  /// alias the inputs.
+  void (*mul_conj_unpack)(const double* x_re, const double* x_im,
+                          const double* y_re, const double* y_im,
+                          const double* tw_re, const double* tw_im,
+                          std::size_t h, double* z_re, double* z_im);
 
   /// Max + lowest-index argmax under a strict-greater scan (ties keep the
   /// earliest index, matching a sequential `if (x[i] > best)` loop exactly).
@@ -133,21 +160,23 @@ struct KernelTable {
                                      const double* b_tail, std::size_t n,
                                      double threshold);
 
-  /// One radix-2 Cooley–Tukey butterfly stage over `n` interleaved (re, im)
-  /// complex doubles, for block length `len` (a power of two, 2 <= len <= n)
-  /// and twiddle stride `step` = n / len. `twiddles` is the interleaved
-  /// forward table w[k] = exp(-2πik/n), k in [0, n/2). For every block base
-  /// (multiples of len) and j in [0, len/2):
-  ///   w = twiddles[j*step], conjugated when `inverse`
-  ///   v = data[base+j+len/2] * w   (re = xr*wr - xi*wi, im = xr*wi + xi*wr,
-  ///                                 every product rounded separately, no FMA)
-  ///   data[base+j]       = u + v
-  ///   data[base+j+len/2] = u - v
-  /// Backends vectorize across adjacent j (u/v loads are contiguous complex
-  /// pairs once len >= 4) and share the identical per-butterfly rounding
-  /// sequence, so transforms are bit-identical across backends.
-  void (*radix2_pass)(double* data, const double* twiddles, std::size_t n,
-                      std::size_t len, std::size_t step, bool inverse);
+  /// One whole n-point radix-2 decimation-in-time DFT over split re/im
+  /// planes, unscaled, out of place (`out` may not alias `in`). The first
+  /// pass reads `in` at bit-reversed positions and runs the len-2 and len-4
+  /// stages in registers; every later stage (len = 8, ..., n) is one
+  /// in-place pass over `out`. Per butterfly, with u the low and x the high
+  /// element of a pair and w the stage plane's entry j (imaginary part
+  /// negated when `inverse`):
+  ///   v = x·w: vr = xr*wr - xi*wi, vi = xr*wi + xi*wr (every product
+  ///   rounded separately, no FMA), then (u + v, u - v).
+  /// The len-2 stage multiplies by its w = (1, -0) too, so zeros keep the
+  /// signs the classic butterfly gives them. This is the classic
+  /// bit-reversal-then-interleaved-butterflies transform with the same
+  /// rounding sequence per element, so backends (and the classic transform)
+  /// agree bitwise for finite inputs. The caller applies any 1/n scale.
+  void (*radix2_transform)(const Radix2Tables& tables, const double* in_re,
+                           const double* in_im, double* out_re,
+                           double* out_im, bool inverse);
 
   /// Fused member pass of the matrix-free shape-extraction matvec. For each
   /// row r in [0, num_rows) of the contiguous row-major pool `rows` (row r

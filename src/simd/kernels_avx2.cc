@@ -197,32 +197,102 @@ void ComplexMulConjAvx2(const double* a, const double* b, double* out,
   }
 }
 
-void ComplexMulConjSoaAvx2(const double* a_re, const double* a_im,
-                           const double* b_re, const double* b_im,
-                           double* out_re, double* out_im, std::size_t n) {
-  // Split planes make this pure vertical arithmetic — four complexes per
-  // iteration with zero shuffles. Separate mul/add/sub (no FMA) keeps each
-  // product rounded exactly as the scalar backend rounds it.
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m256d ar = _mm256_loadu_pd(a_re + k);
-    const __m256d ai = _mm256_loadu_pd(a_im + k);
-    const __m256d br = _mm256_loadu_pd(b_re + k);
-    const __m256d bi = _mm256_loadu_pd(b_im + k);
-    _mm256_storeu_pd(
-        out_re + k,
-        _mm256_add_pd(_mm256_mul_pd(ar, br), _mm256_mul_pd(ai, bi)));
-    _mm256_storeu_pd(
-        out_im + k,
-        _mm256_sub_pd(_mm256_mul_pd(ai, br), _mm256_mul_pd(ar, bi)));
+// Scalar twin of one packed-unpack bin: the identical source to the scalar
+// backend's UnpackBin (same TU flags), used for bin 0 and the tail.
+inline void UnpackBin(double cr, double ci, double mr, double mi, double wr,
+                      double wi, double* zr, double* zi) {
+  const double cmr = mr;
+  const double cmi = -mi;
+  const double er = 0.5 * (cr + cmr);
+  const double ei = 0.5 * (ci + cmi);
+  const double sr = 0.5 * (cr - cmr);
+  const double si = 0.5 * (ci - cmi);
+  const double twi = -wi;
+  const double odr = sr * wr - si * twi;
+  const double odi = sr * twi + si * wr;
+  *zr = er + (0.0 * odr - odi);
+  *zi = ei + (0.0 * odi + odr);
+}
+
+// The four bins C[p..p+3] (x·conj(y) when kProduct, else x) into re / im.
+template <bool kProduct>
+inline void LoadBins(const double* x_re, const double* x_im,
+                     const double* y_re, const double* y_im, std::size_t p,
+                     __m256d* re, __m256d* im) {
+  const __m256d xr = _mm256_loadu_pd(x_re + p);
+  const __m256d xi = _mm256_loadu_pd(x_im + p);
+  if constexpr (kProduct) {
+    const __m256d yr = _mm256_loadu_pd(y_re + p);
+    const __m256d yi = _mm256_loadu_pd(y_im + p);
+    *re = _mm256_add_pd(_mm256_mul_pd(xr, yr), _mm256_mul_pd(xi, yi));
+    *im = _mm256_sub_pd(_mm256_mul_pd(xi, yr), _mm256_mul_pd(xr, yi));
+  } else {
+    *re = xr;
+    *im = xi;
   }
-  for (; k < n; ++k) {
-    const double ar = a_re[k];
-    const double ai = a_im[k];
-    const double br = b_re[k];
-    const double bi = b_im[k];
-    out_re[k] = ar * br + ai * bi;
-    out_im[k] = ai * br - ar * bi;
+}
+
+template <bool kProduct>
+void MulConjUnpackImpl(const double* x_re, const double* x_im,
+                       const double* y_re, const double* y_im,
+                       const double* tw_re, const double* tw_im,
+                       std::size_t h, double* z_re, double* z_im) {
+  const auto bin_re = [&](std::size_t k) {
+    if constexpr (kProduct) return x_re[k] * y_re[k] + x_im[k] * y_im[k];
+    return x_re[k];
+  };
+  const auto bin_im = [&](std::size_t k) {
+    if constexpr (kProduct) return x_im[k] * y_re[k] - x_re[k] * y_im[k];
+    return x_im[k];
+  };
+  UnpackBin(bin_re(0), 0.0, bin_re(h), 0.0, tw_re[0], tw_im[0], z_re, z_im);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d zero = _mm256_setzero_pd();
+  std::size_t k = 1;
+  // Four bins per iteration: C[k..k+3] and their mirrors C[h-k-3..h-k]
+  // (loaded forward, lane-reversed), the same per-lane sequence as
+  // UnpackBin with negation as a sign flip.
+  for (; k + 4 <= h; k += 4) {
+    __m256d cr, ci, mr, mi;
+    LoadBins<kProduct>(x_re, x_im, y_re, y_im, k, &cr, &ci);
+    LoadBins<kProduct>(x_re, x_im, y_re, y_im, h - k - 3, &mr, &mi);
+    mr = _mm256_permute4x64_pd(mr, 0x1B);
+    mi = _mm256_permute4x64_pd(mi, 0x1B);
+    const __m256d cmi = _mm256_xor_pd(mi, sign);
+    const __m256d er = _mm256_mul_pd(half, _mm256_add_pd(cr, mr));
+    const __m256d ei = _mm256_mul_pd(half, _mm256_add_pd(ci, cmi));
+    const __m256d sr = _mm256_mul_pd(half, _mm256_sub_pd(cr, mr));
+    const __m256d si = _mm256_mul_pd(half, _mm256_sub_pd(ci, cmi));
+    const __m256d wr = _mm256_loadu_pd(tw_re + k);
+    const __m256d twi = _mm256_xor_pd(_mm256_loadu_pd(tw_im + k), sign);
+    const __m256d odr =
+        _mm256_sub_pd(_mm256_mul_pd(sr, wr), _mm256_mul_pd(si, twi));
+    const __m256d odi =
+        _mm256_add_pd(_mm256_mul_pd(sr, twi), _mm256_mul_pd(si, wr));
+    _mm256_storeu_pd(
+        z_re + k,
+        _mm256_add_pd(er, _mm256_sub_pd(_mm256_mul_pd(zero, odr), odi)));
+    _mm256_storeu_pd(
+        z_im + k,
+        _mm256_add_pd(ei, _mm256_add_pd(_mm256_mul_pd(zero, odi), odr)));
+  }
+  for (; k < h; ++k) {
+    UnpackBin(bin_re(k), bin_im(k), bin_re(h - k), bin_im(h - k), tw_re[k],
+              tw_im[k], z_re + k, z_im + k);
+  }
+}
+
+void MulConjUnpackAvx2(const double* x_re, const double* x_im,
+                       const double* y_re, const double* y_im,
+                       const double* tw_re, const double* tw_im,
+                       std::size_t h, double* z_re, double* z_im) {
+  if (y_re != nullptr) {
+    MulConjUnpackImpl<true>(x_re, x_im, y_re, y_im, tw_re, tw_im, h, z_re,
+                            z_im);
+  } else {
+    MulConjUnpackImpl<false>(x_re, x_im, y_re, y_im, tw_re, tw_im, h, z_re,
+                             z_im);
   }
 }
 
@@ -377,52 +447,105 @@ double AbsProductPartialSumsAvx2(const double* a_mag, const double* b_mag,
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
-void Radix2PassAvx2(double* data, const double* twiddles, std::size_t n,
-                    std::size_t len, std::size_t step, bool inverse) {
-  const std::size_t half = len / 2;
-  if (half < 2) {
-    // len == 2: w = 1, adjacent complexes — the shuffle-heavy vector form
-    // buys nothing, so run the scalar butterflies (identical source to the
-    // scalar backend, same TU flags, trivially bit-identical).
-    for (std::size_t base = 0; base < n; base += 2) {
-      const std::size_t lo = 2 * base;
-      const std::size_t hi = lo + 2;
-      const double ur = data[lo];
-      const double ui = data[lo + 1];
-      const double vr = data[hi];
-      const double vi = data[hi + 1];
-      data[lo] = ur + vr;
-      data[lo + 1] = ui + vi;
-      data[hi] = ur - vr;
-      data[hi + 1] = ui - vi;
-    }
+void Radix2TransformAvx2(const Radix2Tables& t, const double* in_re,
+                         const double* in_im, double* out_re, double* out_im,
+                         bool inverse) {
+  const std::size_t n = t.n;
+  if (n < 16) {
+    // Below four first-pass blocks the vector gather has no full register;
+    // the scalar transform is the identical per-element sequence.
+    ScalarKernels().radix2_transform(t, in_re, in_im, out_re, out_im,
+                                     inverse);
     return;
   }
-  // -0.0 on the even (real) lanes only: v_re = xr*wr - xi*wi needs the first
-  // product of each pair sign-flipped before the plain add (the non-conjugate
-  // mirror of ComplexMulConjAvx2; same no-addsub rationale — GCC would fuse
-  // mul+addsub into vfmsubadd and break bit-identity with scalar).
-  const __m256d even_flip = _mm256_set_pd(0.0, -0.0, 0.0, -0.0);
-  for (std::size_t base = 0; base < n; base += len) {
-    // half is a power of two >= 2, so the j-loop pairs up with no tail; u and
-    // x loads are contiguous complex pairs, only the twiddles are strided.
-    for (std::size_t j = 0; j < half; j += 2) {
-      const std::size_t tw0 = 2 * (j * step);
-      const std::size_t tw1 = 2 * ((j + 1) * step);
-      const double wi0 = inverse ? -twiddles[tw0 + 1] : twiddles[tw0 + 1];
-      const double wi1 = inverse ? -twiddles[tw1 + 1] : twiddles[tw1 + 1];
-      const __m256d w =
-          _mm256_set_pd(wi1, twiddles[tw1], wi0, twiddles[tw0]);
-      const __m256d u = _mm256_loadu_pd(data + 2 * (base + j));
-      const __m256d x = _mm256_loadu_pd(data + 2 * (base + j + half));
-      const __m256d w_re = _mm256_movedup_pd(w);        // [wr, wr, ...]
-      const __m256d w_im = _mm256_permute_pd(w, 0xF);   // [wi, wi, ...]
-      const __m256d x_sw = _mm256_permute_pd(x, 0x5);   // [xi, xr, ...]
-      const __m256d t1 = _mm256_mul_pd(x, w_re);        // [xr*wr, xi*wr]
-      const __m256d t2 = _mm256_mul_pd(x_sw, w_im);     // [xi*wi, xr*wi]
-      const __m256d v = _mm256_add_pd(t1, _mm256_xor_pd(t2, even_flip));
-      _mm256_storeu_pd(data + 2 * (base + j), _mm256_add_pd(u, v));
-      _mm256_storeu_pd(data + 2 * (base + j + half), _mm256_sub_pd(u, v));
+  const __m256d flip = inverse ? _mm256_set1_pd(-0.0) : _mm256_setzero_pd();
+  // First pass: lanes are four consecutive r, so the four bit-reversed
+  // inputs of each 4-point block are contiguous loads; a 4x4 transpose
+  // turns the (stage output x lane) registers into one contiguous store per
+  // block at 4·quarter_rev[r].
+  const std::size_t q = n / 4;
+  // w0 is every stage's entry j = 0, (1, -0); the len-4 stage's j = 1
+  // entry is w1.
+  const __m256d w0r = _mm256_set1_pd(t.tw_re[0]);
+  const __m256d w0i = _mm256_xor_pd(_mm256_set1_pd(t.tw_im[0]), flip);
+  const __m256d w1r = _mm256_set1_pd(t.tw_re[2]);
+  const __m256d w1i = _mm256_xor_pd(_mm256_set1_pd(t.tw_im[2]), flip);
+  const auto mul_re = [](__m256d xr, __m256d xi, __m256d wr, __m256d wi) {
+    return _mm256_sub_pd(_mm256_mul_pd(xr, wr), _mm256_mul_pd(xi, wi));
+  };
+  const auto mul_im = [](__m256d xr, __m256d xi, __m256d wr, __m256d wi) {
+    return _mm256_add_pd(_mm256_mul_pd(xr, wi), _mm256_mul_pd(xi, wr));
+  };
+  const auto store_transposed = [&](double* out, __m256d o0, __m256d o1,
+                                    __m256d o2, __m256d o3, std::size_t r) {
+    const __m256d t0 = _mm256_unpacklo_pd(o0, o1);
+    const __m256d t1 = _mm256_unpackhi_pd(o0, o1);
+    const __m256d t2 = _mm256_unpacklo_pd(o2, o3);
+    const __m256d t3 = _mm256_unpackhi_pd(o2, o3);
+    _mm256_storeu_pd(out + 4 * t.quarter_rev[r],
+                     _mm256_permute2f128_pd(t0, t2, 0x20));
+    _mm256_storeu_pd(out + 4 * t.quarter_rev[r + 1],
+                     _mm256_permute2f128_pd(t1, t3, 0x20));
+    _mm256_storeu_pd(out + 4 * t.quarter_rev[r + 2],
+                     _mm256_permute2f128_pd(t0, t2, 0x31));
+    _mm256_storeu_pd(out + 4 * t.quarter_rev[r + 3],
+                     _mm256_permute2f128_pd(t1, t3, 0x31));
+  };
+  for (std::size_t r = 0; r < q; r += 4) {
+    const __m256d a0r = _mm256_loadu_pd(in_re + r);
+    const __m256d a0i = _mm256_loadu_pd(in_im + r);
+    const __m256d a1r = _mm256_loadu_pd(in_re + r + 2 * q);
+    const __m256d a1i = _mm256_loadu_pd(in_im + r + 2 * q);
+    const __m256d a2r = _mm256_loadu_pd(in_re + r + q);
+    const __m256d a2i = _mm256_loadu_pd(in_im + r + q);
+    const __m256d a3r = _mm256_loadu_pd(in_re + r + 3 * q);
+    const __m256d a3i = _mm256_loadu_pd(in_im + r + 3 * q);
+    const __m256d b1r = mul_re(a1r, a1i, w0r, w0i);
+    const __m256d b1i = mul_im(a1r, a1i, w0r, w0i);
+    const __m256d b3r = mul_re(a3r, a3i, w0r, w0i);
+    const __m256d b3i = mul_im(a3r, a3i, w0r, w0i);
+    const __m256d s0r = _mm256_add_pd(a0r, b1r);
+    const __m256d s0i = _mm256_add_pd(a0i, b1i);
+    const __m256d s1r = _mm256_sub_pd(a0r, b1r);
+    const __m256d s1i = _mm256_sub_pd(a0i, b1i);
+    const __m256d s2r = _mm256_add_pd(a2r, b3r);
+    const __m256d s2i = _mm256_add_pd(a2i, b3i);
+    const __m256d s3r = _mm256_sub_pd(a2r, b3r);
+    const __m256d s3i = _mm256_sub_pd(a2i, b3i);
+    const __m256d v0r = mul_re(s2r, s2i, w0r, w0i);
+    const __m256d v0i = mul_im(s2r, s2i, w0r, w0i);
+    const __m256d v1r = mul_re(s3r, s3i, w1r, w1i);
+    const __m256d v1i = mul_im(s3r, s3i, w1r, w1i);
+    store_transposed(out_re, _mm256_add_pd(s0r, v0r), _mm256_add_pd(s1r, v1r),
+                     _mm256_sub_pd(s0r, v0r), _mm256_sub_pd(s1r, v1r), r);
+    store_transposed(out_im, _mm256_add_pd(s0i, v0i), _mm256_add_pd(s1i, v1i),
+                     _mm256_sub_pd(s0i, v0i), _mm256_sub_pd(s1i, v1i), r);
+  }
+  // Later stages: half >= 4, so every j-run is whole registers, and the
+  // stage's twiddles are one contiguous plane.
+  for (std::size_t len = 8; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    const double* tw_re = t.tw_re + half - 1;
+    const double* tw_im = t.tw_im + half - 1;
+    for (std::size_t base = 0; base < n; base += len) {
+      double* ur = out_re + base;
+      double* ui = out_im + base;
+      double* xr = ur + half;
+      double* xi = ui + half;
+      for (std::size_t j = 0; j < half; j += 4) {
+        const __m256d wr = _mm256_loadu_pd(tw_re + j);
+        const __m256d wi = _mm256_xor_pd(_mm256_loadu_pd(tw_im + j), flip);
+        const __m256d x_r = _mm256_loadu_pd(xr + j);
+        const __m256d x_i = _mm256_loadu_pd(xi + j);
+        const __m256d vr = mul_re(x_r, x_i, wr, wi);
+        const __m256d vi = mul_im(x_r, x_i, wr, wi);
+        const __m256d u_r = _mm256_loadu_pd(ur + j);
+        const __m256d u_i = _mm256_loadu_pd(ui + j);
+        _mm256_storeu_pd(ur + j, _mm256_add_pd(u_r, vr));
+        _mm256_storeu_pd(ui + j, _mm256_add_pd(u_i, vi));
+        _mm256_storeu_pd(xr + j, _mm256_sub_pd(u_r, vr));
+        _mm256_storeu_pd(xi + j, _mm256_sub_pd(u_i, vi));
+      }
     }
   }
 }
@@ -455,14 +578,14 @@ const KernelTable* Avx2Kernels() {
       SquaredEdAbandonAvx2,
       LbKeoghSquaredAvx2,
       ComplexMulConjAvx2,
-      ComplexMulConjSoaAvx2,
+      MulConjUnpackAvx2,
       PeakScanAvx2,
       AxpyAvx2,
       ScaleAvx2,
       ApplyZNormAvx2,
       DtwRowAvx2,
       AbsProductPartialSumsAvx2,
-      Radix2PassAvx2,
+      Radix2TransformAvx2,
       DotAxpyRowsAvx2,
   };
   return &table;

@@ -179,16 +179,42 @@ void ComplexMulConjScalar(const double* a, const double* b, double* out,
   }
 }
 
-void ComplexMulConjSoaScalar(const double* a_re, const double* a_im,
-                             const double* b_re, const double* b_im,
-                             double* out_re, double* out_im, std::size_t n) {
-  for (std::size_t k = 0; k < n; ++k) {
-    const double ar = a_re[k];
-    const double ai = a_im[k];
-    const double br = b_re[k];
-    const double bi = b_im[k];
-    out_re[k] = ar * br + ai * bi;
-    out_im[k] = ai * br - ar * bi;
+// One bin of the packed real-inverse unpack (the mul_conj_unpack contract):
+// ck = (cr, ci), cmk = conj(C[h-k]) = (mr, -mi), w = (wr, wi). Spelled as
+// the exact operation sequence std::complex<double> evaluates for
+// `even + Complex(0, 1) * odd`, including the 0·a terms (they keep the sign
+// of a zero exactly as std::complex does).
+inline void UnpackBin(double cr, double ci, double mr, double mi, double wr,
+                      double wi, double* zr, double* zi) {
+  const double cmr = mr;
+  const double cmi = -mi;
+  const double er = 0.5 * (cr + cmr);
+  const double ei = 0.5 * (ci + cmi);
+  const double sr = 0.5 * (cr - cmr);
+  const double si = 0.5 * (ci - cmi);
+  const double twi = -wi;  // conj(w)
+  const double odr = sr * wr - si * twi;
+  const double odi = sr * twi + si * wr;
+  *zr = er + (0.0 * odr - odi);
+  *zi = ei + (0.0 * odi + odr);
+}
+
+void MulConjUnpackScalar(const double* x_re, const double* x_im,
+                         const double* y_re, const double* y_im,
+                         const double* tw_re, const double* tw_im,
+                         std::size_t h, double* z_re, double* z_im) {
+  const bool product = y_re != nullptr;
+  // C[k] as (re, im); bins 0 and h only ever need their real part.
+  const auto bin_re = [&](std::size_t k) {
+    return product ? x_re[k] * y_re[k] + x_im[k] * y_im[k] : x_re[k];
+  };
+  const auto bin_im = [&](std::size_t k) {
+    return product ? x_im[k] * y_re[k] - x_re[k] * y_im[k] : x_im[k];
+  };
+  UnpackBin(bin_re(0), 0.0, bin_re(h), 0.0, tw_re[0], tw_im[0], z_re, z_im);
+  for (std::size_t k = 1; k < h; ++k) {
+    UnpackBin(bin_re(k), bin_im(k), bin_re(h - k), bin_im(h - k), tw_re[k],
+              tw_im[k], z_re + k, z_im + k);
   }
 }
 
@@ -293,26 +319,87 @@ double AbsProductPartialSumsScalar(const double* a_mag, const double* b_mag,
   return Reduce4(acc);
 }
 
-void Radix2PassScalar(double* data, const double* twiddles, std::size_t n,
-                      std::size_t len, std::size_t step, bool inverse) {
-  const std::size_t half = len / 2;
-  for (std::size_t base = 0; base < n; base += len) {
-    for (std::size_t j = 0; j < half; ++j) {
-      const std::size_t tw = 2 * (j * step);
-      const double wr = twiddles[tw];
-      const double wi = inverse ? -twiddles[tw + 1] : twiddles[tw + 1];
-      const std::size_t lo = 2 * (base + j);
-      const std::size_t hi = 2 * (base + j + half);
-      const double ur = data[lo];
-      const double ui = data[lo + 1];
-      const double xr = data[hi];
-      const double xi = data[hi + 1];
-      const double vr = xr * wr - xi * wi;
-      const double vi = xr * wi + xi * wr;
-      data[lo] = ur + vr;
-      data[lo + 1] = ui + vi;
-      data[hi] = ur - vr;
-      data[hi + 1] = ui - vi;
+void Radix2TransformScalar(const Radix2Tables& t, const double* in_re,
+                           const double* in_im, double* out_re,
+                           double* out_im, bool inverse) {
+  const std::size_t n = t.n;
+  if (n == 1) {
+    out_re[0] = in_re[0];
+    out_im[0] = in_im[0];
+    return;
+  }
+  const auto mul_re = [](double xr, double xi, double wr, double wi) {
+    return xr * wr - xi * wi;
+  };
+  const auto mul_im = [](double xr, double xi, double wr, double wi) {
+    return xr * wi + xi * wr;
+  };
+  // w0 is every stage's entry j = 0, (1, -0); the len-4 stage's j = 1
+  // entry is w1.
+  const double w0r = t.tw_re[0];
+  const double w0i = inverse ? -t.tw_im[0] : t.tw_im[0];
+  if (n == 2) {
+    const double vr = mul_re(in_re[1], in_im[1], w0r, w0i);
+    const double vi = mul_im(in_re[1], in_im[1], w0r, w0i);
+    out_re[0] = in_re[0] + vr;
+    out_im[0] = in_im[0] + vi;
+    out_re[1] = in_re[0] - vr;
+    out_im[1] = in_im[0] - vi;
+    return;
+  }
+  // First pass: the bit-reversed gather plus the len-2 and len-4 stages of
+  // one 4-point block per r (the AVX2 backend runs four r at once).
+  const std::size_t q = n / 4;
+  const double w1r = t.tw_re[2];
+  const double w1i = inverse ? -t.tw_im[2] : t.tw_im[2];
+  for (std::size_t r = 0; r < q; ++r) {
+    const double a0r = in_re[r], a0i = in_im[r];
+    const double a1r = in_re[r + 2 * q], a1i = in_im[r + 2 * q];
+    const double a2r = in_re[r + q], a2i = in_im[r + q];
+    const double a3r = in_re[r + 3 * q], a3i = in_im[r + 3 * q];
+    const double b1r = mul_re(a1r, a1i, w0r, w0i);
+    const double b1i = mul_im(a1r, a1i, w0r, w0i);
+    const double b3r = mul_re(a3r, a3i, w0r, w0i);
+    const double b3i = mul_im(a3r, a3i, w0r, w0i);
+    const double s0r = a0r + b1r, s0i = a0i + b1i;
+    const double s1r = a0r - b1r, s1i = a0i - b1i;
+    const double s2r = a2r + b3r, s2i = a2i + b3i;
+    const double s3r = a2r - b3r, s3i = a2i - b3i;
+    const double v0r = mul_re(s2r, s2i, w0r, w0i);
+    const double v0i = mul_im(s2r, s2i, w0r, w0i);
+    const double v1r = mul_re(s3r, s3i, w1r, w1i);
+    const double v1i = mul_im(s3r, s3i, w1r, w1i);
+    const std::size_t o = 4 * t.quarter_rev[r];
+    out_re[o] = s0r + v0r;
+    out_im[o] = s0i + v0i;
+    out_re[o + 1] = s1r + v1r;
+    out_im[o + 1] = s1i + v1i;
+    out_re[o + 2] = s0r - v0r;
+    out_im[o + 2] = s0i - v0i;
+    out_re[o + 3] = s1r - v1r;
+    out_im[o + 3] = s1i - v1i;
+  }
+  for (std::size_t len = 8; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    const double* tw_re = t.tw_re + half - 1;
+    const double* tw_im = t.tw_im + half - 1;
+    for (std::size_t base = 0; base < n; base += len) {
+      double* ur = out_re + base;
+      double* ui = out_im + base;
+      double* xr = ur + half;
+      double* xi = ui + half;
+      for (std::size_t j = 0; j < half; ++j) {
+        const double wr = tw_re[j];
+        const double wi = inverse ? -tw_im[j] : tw_im[j];
+        const double vr = mul_re(xr[j], xi[j], wr, wi);
+        const double vi = mul_im(xr[j], xi[j], wr, wi);
+        const double u_r = ur[j];
+        const double u_i = ui[j];
+        ur[j] = u_r + vr;
+        ui[j] = u_i + vi;
+        xr[j] = u_r - vr;
+        xi[j] = u_i - vi;
+      }
     }
   }
 }
@@ -343,14 +430,14 @@ const KernelTable& ScalarKernels() {
       SquaredEdAbandonScalar,
       LbKeoghSquaredScalar,
       ComplexMulConjScalar,
-      ComplexMulConjSoaScalar,
+      MulConjUnpackScalar,
       PeakScanScalar,
       AxpyScalar,
       ScaleScalar,
       ApplyZNormScalar,
       DtwRowScalar,
       AbsProductPartialSumsScalar,
-      Radix2PassScalar,
+      Radix2TransformScalar,
       DotAxpyRowsScalar,
   };
   return table;

@@ -280,7 +280,7 @@ TEST(PlanCacheTest, ReturnsSameObjectForSameSize) {
   EXPECT_EQ(a.n(), 64u);
 }
 
-// The radix-2 butterfly passes route through the simd::radix2_pass kernel,
+// The radix-2 transform runs through the simd::radix2_transform kernel,
 // whose scalar and AVX2 variants promise bit-identical results (fixed
 // rounding sequence, no FMA contraction). These tests pin that contract at
 // the transform level: flipping the backend must not move a single bit.

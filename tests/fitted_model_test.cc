@@ -568,38 +568,39 @@ TEST(OnlineScorerTest, TryIngestRejectsBadSeries) {
   EXPECT_EQ(scorer.ingested(), 1u);
 }
 
-// Satellite: the early-abandoned NCC peak scan. The abandon is exact — the
-// peak (value AND index) must be bit-identical with the gate on or off — and
-// its telemetry partitions the lag range into scanned + skipped.
-TEST(PeakScanAbandonTest, ExactAcrossTheGateWithTelemetryPartition) {
+// The cached NCC peak scan walks every lag whatever the pruning gate says:
+// distances AND shifts (the peak index) are bitwise equal with KSHAPE_PRUNE
+// on and off, pair by pair and query by query, in both spectrum layouts.
+TEST(PeakScanGateTest, DistancesAndShiftsBitwiseEqualAcrossTheGate) {
   ConfigGuard guard;
   tseries::Dataset data = MakeCbfDataset("cbf-peak", 4, kLength, 33);
-  const core::SbdEngine engine(data.batch(), core::CrossCorrelationImpl::kFft,
-                               fft::HalfSpectrumEnabled(),
-                               /*build_bound_planes=*/false);
-
-  // Gate off: the full lag range is scanned.
-  core::SetPruningEnabledForTesting(false);
-  core::ResetPeakScanStatsForTesting();
-  std::vector<double> exact;
-  for (std::size_t i = 1; i < data.size(); ++i) {
-    exact.push_back(engine.Distance(0, i));
+  for (const bool half : {true, false}) {
+    const core::SbdEngine engine(data.batch(),
+                                 core::CrossCorrelationImpl::kFft, half,
+                                 /*build_bound_planes=*/false);
+    const core::SbdEngine::Query q = engine.MakeQuery(data.view(0));
+    std::vector<double> pair[2], query[2];
+    std::vector<int> shift[2];
+    for (const bool prune : {false, true}) {
+      core::SetPruningEnabledForTesting(prune);
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        pair[prune].push_back(engine.Distance(0, i));
+        int s = 0;
+        query[prune].push_back(engine.Distance(q, i, &s));
+        shift[prune].push_back(s);
+      }
+    }
+    const std::size_t bytes = data.size() * sizeof(double);
+    EXPECT_EQ(std::memcmp(pair[0].data(), pair[1].data(), bytes), 0)
+        << "half=" << half;
+    EXPECT_EQ(std::memcmp(query[0].data(), query[1].data(), bytes), 0)
+        << "half=" << half;
+    EXPECT_EQ(shift[0], shift[1]) << "half=" << half;
   }
-  const core::PeakScanTelemetry off = core::PeakScanStats();
-  EXPECT_GT(off.lags_scanned, 0);
-  EXPECT_EQ(off.lags_skipped, 0);
-
-  // Gate on: some suffix chunks may be skipped, but scanned + skipped must
-  // cover the same total lag range, and every distance is bit-identical.
-  core::SetPruningEnabledForTesting(true);
-  core::ResetPeakScanStatsForTesting();
-  for (std::size_t i = 1; i < data.size(); ++i) {
-    EXPECT_EQ(engine.Distance(0, i), exact[i - 1]) << "pair (0," << i << ")";
-  }
-  const core::PeakScanTelemetry on = core::PeakScanStats();
-  EXPECT_EQ(on.lags_scanned + on.lags_skipped, off.lags_scanned);
-  EXPECT_GE(on.lags_skipped, 0);
-  core::ResetPeakScanStatsForTesting();
+  // The retired lag-abandon telemetry reads zero by construction.
+  const core::PeakScanTelemetry stats = core::PeakScanStats();
+  EXPECT_EQ(stats.lags_scanned, 0);
+  EXPECT_EQ(stats.lags_skipped, 0);
 }
 
 }  // namespace

@@ -5,21 +5,27 @@
 // naive O(n^2) DFT oracle fft_test uses, plus the invariants the SBD cache
 // relies on: conjugate symmetry of the packed bins, the shared padded-length
 // convention, bitwise batch/standalone agreement, and backend bit-identity
-// of the SoA product path.
+// of the product path. The oracle suite at the end pins every transform
+// bitwise against a literal copy of the classic transform it replaced.
 
 #include "fft/rfft.h"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
 #include "common/random.h"
+#include "core/sbd_engine.h"
 #include "fft/fft.h"
+#include "linalg/matrix.h"
 #include "simd/dispatch.h"
+#include "tseries/time_series.h"
 
 namespace kshape::fft {
 namespace {
@@ -328,7 +334,7 @@ TEST(BatchSpectraTest, ParallelFillIsBitIdentical) {
 }
 
 TEST(RfftBackendTest, ProductPathIsBitIdenticalAcrossBackends) {
-  // complex_mul_conj_soa is elementwise, the transforms are backend-
+  // The fused product-unpack is elementwise, the transforms are backend-
   // independent — so the whole cached half-spectrum pipeline must be
   // bitwise reproducible across SIMD backends.
   HalfSpectrumGuard guard;
@@ -398,6 +404,474 @@ TEST(HalfSpectrumGateTest, TestingOverrideRoundTrips) {
   EXPECT_FALSE(HalfSpectrumEnabled());
   SetHalfSpectrumEnabledForTesting(true);
   EXPECT_TRUE(HalfSpectrumEnabled());
+}
+
+// ---------------------------------------------------------------------------
+// The classic-transform oracle. A test-only, literal copy of the transform
+// the split-plane kernels replaced: a bit-reversal swap pass, interleaved
+// radix-2 butterflies reading the n-point twiddle table at stride n/len, a
+// separate 1/n pass, the std::complex packed unpacks and the SoA / interleaved
+// products. Every library transform must match it bitwise (memcmp) on both
+// backends. This TU compiles with -ffp-contract=off (tests/CMakeLists.txt),
+// so the oracle stays unfused under -march=native.
+// ---------------------------------------------------------------------------
+namespace classic {
+
+std::vector<Complex> Twiddles(std::size_t n) {
+  std::vector<Complex> w(n / 2);
+  for (std::size_t k = 0; k < n / 2; ++k) {
+    const double angle =
+        -2.0 * kPi * static_cast<double>(k) / static_cast<double>(n);
+    w[k] = Complex(std::cos(angle), std::sin(angle));
+  }
+  return w;
+}
+
+void Radix2Pass(double* data, const double* twiddles, std::size_t n,
+                std::size_t len, std::size_t step, bool inverse) {
+  const std::size_t half = len / 2;
+  for (std::size_t base = 0; base < n; base += len) {
+    for (std::size_t j = 0; j < half; ++j) {
+      const std::size_t tw = 2 * (j * step);
+      const double wr = twiddles[tw];
+      const double wi = inverse ? -twiddles[tw + 1] : twiddles[tw + 1];
+      const std::size_t lo = 2 * (base + j);
+      const std::size_t hi = 2 * (base + j + half);
+      const double ur = data[lo];
+      const double ui = data[lo + 1];
+      const double xr = data[hi];
+      const double xi = data[hi + 1];
+      const double vr = xr * wr - xi * wi;
+      const double vi = xr * wi + xi * wr;
+      data[lo] = ur + vr;
+      data[lo + 1] = ui + vi;
+      data[hi] = ur - vr;
+      data[hi + 1] = ui - vi;
+    }
+  }
+}
+
+// The classic Radix2Plan::TransformImpl, including its 1/n pass.
+void Radix2(Complex* data, std::size_t n, bool inverse) {
+  std::size_t log2n = 0;
+  while ((std::size_t{1} << log2n) < n) ++log2n;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t rev = 0;
+    std::size_t v = i;
+    for (std::size_t b = 0; b < log2n; ++b) {
+      rev = (rev << 1) | (v & 1);
+      v >>= 1;
+    }
+    if (i < rev) std::swap(data[i], data[rev]);
+  }
+  const std::vector<Complex> twiddles = Twiddles(n);
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    Radix2Pass(reinterpret_cast<double*>(data),
+               reinterpret_cast<const double*>(twiddles.data()), n, len,
+               n / len, inverse);
+  }
+  if (inverse) {
+    const double scale = 1.0 / static_cast<double>(n);
+    for (std::size_t i = 0; i < n; ++i) data[i] *= scale;
+  }
+}
+
+void Forward(std::vector<Complex>* data);
+
+// The classic Bluestein chirp-z forward.
+void Bluestein(std::vector<Complex>* data) {
+  const std::size_t n = data->size();
+  const std::size_t m = NextPowerOfTwo(2 * n - 1);
+  std::vector<Complex> chirp(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const unsigned long long jj =
+        (static_cast<unsigned long long>(j) * j) % (2ULL * n);
+    const double angle =
+        -kPi * static_cast<double>(jj) / static_cast<double>(n);
+    chirp[j] = Complex(std::cos(angle), std::sin(angle));
+  }
+  std::vector<Complex> b(m, Complex(0, 0));
+  b[0] = std::conj(chirp[0]);
+  for (std::size_t j = 1; j < n; ++j) {
+    b[j] = std::conj(chirp[j]);
+    b[m - j] = std::conj(chirp[j]);
+  }
+  Radix2(b.data(), m, false);
+  std::vector<Complex> a(m, Complex(0, 0));
+  for (std::size_t j = 0; j < n; ++j) a[j] = (*data)[j] * chirp[j];
+  Radix2(a.data(), m, false);
+  for (std::size_t j = 0; j < m; ++j) a[j] *= b[j];
+  Radix2(a.data(), m, true);
+  for (std::size_t j = 0; j < n; ++j) (*data)[j] = a[j] * chirp[j];
+}
+
+void Forward(std::vector<Complex>* data) {
+  const std::size_t n = data->size();
+  if (n == 1) return;
+  if (IsPowerOfTwo(n)) {
+    Radix2(data->data(), n, false);
+  } else {
+    Bluestein(data);
+  }
+}
+
+void Inverse(std::vector<Complex>* data) {
+  const std::size_t n = data->size();
+  for (auto& v : *data) v = std::conj(v);
+  Forward(data);
+  const double scale = 1.0 / static_cast<double>(n);
+  for (auto& v : *data) v = std::conj(v) * scale;
+}
+
+std::vector<Complex> Spectrum(const std::vector<double>& x,
+                              std::size_t len) {
+  std::vector<Complex> data(len, Complex(0, 0));
+  for (std::size_t i = 0; i < x.size(); ++i) data[i] = Complex(x[i], 0.0);
+  Forward(&data);
+  return data;
+}
+
+// The classic RfftPlan::Forward.
+RfftSpectrum RfftForward(const std::vector<double>& x, std::size_t n) {
+  RfftSpectrum out;
+  out.fft_len = n;
+  out.re.resize(RfftBins(n));
+  out.im.resize(RfftBins(n));
+  if (!(IsPowerOfTwo(n) && n >= 2)) {
+    const std::vector<Complex> data = Spectrum(x, n);
+    for (std::size_t k = 0; k < out.bins(); ++k) {
+      out.re[k] = data[k].real();
+      out.im[k] = data[k].imag();
+    }
+    out.im[0] = 0.0;
+    if (n % 2 == 0) out.im[n / 2] = 0.0;
+    return out;
+  }
+  const std::size_t h = n / 2;
+  std::vector<Complex> z(h);
+  for (std::size_t j = 0; j < h; ++j) {
+    const double re = 2 * j < x.size() ? x[2 * j] : 0.0;
+    const double im = 2 * j + 1 < x.size() ? x[2 * j + 1] : 0.0;
+    z[j] = Complex(re, im);
+  }
+  Radix2(z.data(), h, false);
+  out.re[0] = z[0].real() + z[0].imag();
+  out.im[0] = 0.0;
+  out.re[h] = z[0].real() - z[0].imag();
+  out.im[h] = 0.0;
+  for (std::size_t k = 1; k < h; ++k) {
+    const double angle =
+        -2.0 * kPi * static_cast<double>(k) / static_cast<double>(n);
+    const Complex twiddle(std::cos(angle), std::sin(angle));
+    const Complex zk = z[k];
+    const Complex zmk = std::conj(z[h - k]);
+    const Complex even = 0.5 * (zk + zmk);
+    const Complex odd = Complex(0, -0.5) * (zk - zmk);
+    const Complex bin = even + twiddle * odd;
+    out.re[k] = bin.real();
+    out.im[k] = bin.imag();
+  }
+  return out;
+}
+
+// The classic RfftPlan::Inverse.
+std::vector<double> RfftInverse(const double* re, const double* im,
+                                std::size_t n) {
+  std::vector<double> out(n);
+  if (!(IsPowerOfTwo(n) && n >= 2)) {
+    if (n == 1) {
+      out[0] = re[0];
+      return out;
+    }
+    std::vector<Complex> data(n);
+    const std::size_t b = RfftBins(n);
+    data[0] = Complex(re[0], 0.0);
+    for (std::size_t k = 1; k < b; ++k) data[k] = Complex(re[k], im[k]);
+    if (n % 2 == 0) data[n / 2] = Complex(re[n / 2], 0.0);
+    for (std::size_t k = b; k < n; ++k) data[k] = std::conj(data[n - k]);
+    Inverse(&data);
+    for (std::size_t i = 0; i < n; ++i) out[i] = data[i].real();
+    return out;
+  }
+  const std::size_t h = n / 2;
+  std::vector<Complex> z(h);
+  const auto bin = [&](std::size_t k) {
+    return Complex(re[k], (k == 0 || k == h) ? 0.0 : im[k]);
+  };
+  for (std::size_t k = 0; k < h; ++k) {
+    const double angle =
+        -2.0 * kPi * static_cast<double>(k) / static_cast<double>(n);
+    const Complex twiddle(std::cos(angle), std::sin(angle));
+    const Complex ck = bin(k);
+    const Complex cmk = std::conj(bin(h - k));
+    const Complex even = 0.5 * (ck + cmk);
+    const Complex odd = 0.5 * (ck - cmk) * std::conj(twiddle);
+    z[k] = even + Complex(0, 1) * odd;
+  }
+  Radix2(z.data(), h, true);
+  for (std::size_t j = 0; j < h; ++j) {
+    out[2 * j] = z[j].real();
+    out[2 * j + 1] = z[j].imag();
+  }
+  return out;
+}
+
+// Lags of a circular buffer in CrossCorrelationFft's layout.
+std::vector<double> Lags(const std::vector<double>& time, std::size_t m) {
+  const std::size_t len = time.size();
+  std::vector<double> cc(2 * m - 1);
+  for (std::size_t i = 0; i < 2 * m - 1; ++i) {
+    const long long lag =
+        static_cast<long long>(i) - static_cast<long long>(m - 1);
+    cc[i] = time[lag >= 0 ? static_cast<std::size_t>(lag)
+                          : len - static_cast<std::size_t>(-lag)];
+  }
+  return cc;
+}
+
+// The classic CrossCorrelationFromRfft: SoA product, then the inverse.
+std::vector<double> CrossCorrelationFromRfft(const RfftView& x,
+                                             const RfftView& y,
+                                             std::size_t m) {
+  const std::size_t b = x.bins();
+  std::vector<double> re(b), im(b);
+  for (std::size_t k = 0; k < b; ++k) {
+    re[k] = x.re[k] * y.re[k] + x.im[k] * y.im[k];
+    im[k] = x.im[k] * y.re[k] - x.re[k] * y.im[k];
+  }
+  return Lags(RfftInverse(re.data(), im.data(), x.fft_len), m);
+}
+
+// The classic CrossCorrelationFromSpectra: interleaved product, then the
+// plan's inverse (power of two) or the generic inverse.
+std::vector<double> CrossCorrelationFromSpectra(
+    const std::vector<Complex>& x, const std::vector<Complex>& y,
+    std::size_t m) {
+  const std::size_t len = x.size();
+  std::vector<Complex> c(len);
+  for (std::size_t k = 0; k < len; ++k) {
+    const double ar = x[k].real(), ai = x[k].imag();
+    const double br = y[k].real(), bi = y[k].imag();
+    c[k] = Complex(ar * br + ai * bi, ai * br - ar * bi);
+  }
+  if (IsPowerOfTwo(len)) {
+    Radix2(c.data(), len, true);
+  } else {
+    Inverse(&c);
+  }
+  std::vector<double> time(len);
+  for (std::size_t i = 0; i < len; ++i) time[i] = c[i].real();
+  return Lags(time, m);
+}
+
+}  // namespace classic
+
+bool BitEqual(const double* a, const double* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+bool BitEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && BitEqual(a.data(), b.data(), a.size());
+}
+bool BitEqual(const std::vector<Complex>& a, const std::vector<Complex>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+}
+
+std::vector<simd::Backend> OracleBackends() {
+  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
+  if (simd::Avx2Available()) backends.push_back(simd::Backend::kAvx2);
+  return backends;
+}
+
+std::vector<Complex> RandomComplexVector(std::size_t n, common::Rng* rng) {
+  std::vector<Complex> z(n);
+  for (auto& v : z) v = Complex(rng->Gaussian(), rng->Gaussian());
+  return z;
+}
+
+TEST(ClassicOracleTest, Radix2PlanMatchesClassicTransform) {
+  HalfSpectrumGuard guard;
+  for (const simd::Backend backend : OracleBackends()) {
+    simd::SetBackendForTesting(backend);
+    for (std::size_t n = 2; n <= 4096; n <<= 1) {
+      common::Rng rng(n * 3 + 1);
+      const std::vector<Complex> x = RandomComplexVector(n, &rng);
+      std::vector<Complex> fwd = x, want_fwd = x;
+      GetPlan(n).Forward(fwd.data());
+      classic::Radix2(want_fwd.data(), n, false);
+      EXPECT_TRUE(BitEqual(fwd, want_fwd)) << "n=" << n;
+      std::vector<Complex> inv = x, want_inv = x;
+      GetPlan(n).Inverse(inv.data());
+      classic::Radix2(want_inv.data(), n, true);
+      EXPECT_TRUE(BitEqual(inv, want_inv)) << "n=" << n;
+    }
+  }
+}
+
+TEST(ClassicOracleTest, RfftPlanAndCrossCorrelationMatchClassic) {
+  HalfSpectrumGuard guard;
+  for (const simd::Backend backend : OracleBackends()) {
+    simd::SetBackendForTesting(backend);
+    for (std::size_t n = 2; n <= 4096; n <<= 1) {
+      common::Rng rng(n * 5 + 2);
+      const RfftPlan& plan = GetRfftPlan(n);
+      // A full-length input and a zero-padded one (the SBD case).
+      for (const std::size_t m : {n, n / 2}) {
+        const std::vector<double> x = RandomRealVector(m, &rng);
+        const std::vector<double> y = RandomRealVector(m, &rng);
+        RfftSpectrum fx, fy;
+        fx.fft_len = fy.fft_len = n;
+        fx.re.resize(plan.bins());
+        fx.im.resize(plan.bins());
+        fy.re.resize(plan.bins());
+        fy.im.resize(plan.bins());
+        plan.Forward(x, fx.re.data(), fx.im.data());
+        plan.Forward(y, fy.re.data(), fy.im.data());
+        const RfftSpectrum want = classic::RfftForward(x, n);
+        EXPECT_TRUE(BitEqual(fx.re, want.re)) << "n=" << n << " m=" << m;
+        EXPECT_TRUE(BitEqual(fx.im, want.im)) << "n=" << n << " m=" << m;
+
+        std::vector<double> back(n);
+        plan.Inverse(fx.re.data(), fx.im.data(), back.data());
+        EXPECT_TRUE(
+            BitEqual(back, classic::RfftInverse(fx.re.data(), fx.im.data(), n)))
+            << "n=" << n << " m=" << m;
+
+        // Cross-correlations need 2m' - 1 <= n.
+        const std::size_t lags = std::max<std::size_t>(1, n / 2);
+        std::vector<double> cc;
+        CrossCorrelationFromRfft(plan, fx.view(), fy.view(), lags, &cc);
+        EXPECT_TRUE(BitEqual(
+            cc, classic::CrossCorrelationFromRfft(fx.view(), fy.view(), lags)))
+            << "n=" << n << " m=" << m;
+      }
+    }
+  }
+}
+
+TEST(ClassicOracleTest, BluesteinAndFullComplexPathsMatchClassic) {
+  HalfSpectrumGuard guard;
+  for (const simd::Backend backend : OracleBackends()) {
+    simd::SetBackendForTesting(backend);
+    for (const std::size_t m : {2u, 3u, 5u, 17u, 60u, 100u, 128u}) {
+      common::Rng rng(m * 7 + 3);
+      const std::vector<double> x = RandomRealVector(m, &rng);
+      const std::vector<double> y = RandomRealVector(m, &rng);
+      for (const std::size_t len : {2 * m - 1, NextPowerOfTwo(2 * m - 1)}) {
+        // Full-complex spectra and their cross-correlation.
+        const std::vector<Complex> sx = Spectrum(x, len);
+        const std::vector<Complex> sy = Spectrum(y, len);
+        EXPECT_TRUE(BitEqual(sx, classic::Spectrum(x, len))) << "len=" << len;
+        std::vector<double> cc;
+        CrossCorrelationFromSpectra(sx, sy, m, &cc);
+        EXPECT_TRUE(BitEqual(cc, classic::CrossCorrelationFromSpectra(sx, sy, m)))
+            << "len=" << len;
+        std::vector<Complex> inv = sx;
+        Inverse(&inv);
+        std::vector<Complex> want_inv = sx;
+        classic::Inverse(&want_inv);
+        EXPECT_TRUE(BitEqual(inv, want_inv)) << "len=" << len;
+
+        // Packed spectra (the generic fallback on 2m - 1).
+        const RfftSpectrum hx = RfftForward(x, len);
+        const RfftSpectrum hy = RfftForward(y, len);
+        const RfftSpectrum want = classic::RfftForward(x, len);
+        EXPECT_TRUE(BitEqual(hx.re, want.re)) << "len=" << len;
+        EXPECT_TRUE(BitEqual(hx.im, want.im)) << "len=" << len;
+        CrossCorrelationFromRfft(hx.view(), hy.view(), m, &cc);
+        EXPECT_TRUE(
+            BitEqual(cc, classic::CrossCorrelationFromRfft(hx.view(), hy.view(), m)))
+            << "len=" << len;
+      }
+    }
+  }
+}
+
+// The classic engine distance: per-channel classic cross-correlations
+// summed lag by lag in channel order, a sequential strict-greater peak scan
+// (lowest index wins ties), and 1 - peak * (1 / (norm_x * norm_y)).
+struct ClassicPeak {
+  double distance;
+  int shift;
+};
+ClassicPeak ClassicDistance(const std::vector<double>& x,
+                            const std::vector<double>& y, std::size_t m,
+                            std::size_t channels, std::size_t len,
+                            bool half) {
+  std::vector<double> total;
+  for (std::size_t c = 0; c < channels; ++c) {
+    const std::vector<double> xc(x.begin() + c * m, x.begin() + (c + 1) * m);
+    const std::vector<double> yc(y.begin() + c * m, y.begin() + (c + 1) * m);
+    std::vector<double> cc;
+    if (half) {
+      const RfftSpectrum sx = classic::RfftForward(xc, len);
+      const RfftSpectrum sy = classic::RfftForward(yc, len);
+      cc = classic::CrossCorrelationFromRfft(sx.view(), sy.view(), m);
+    } else {
+      cc = classic::CrossCorrelationFromSpectra(classic::Spectrum(xc, len),
+                                                classic::Spectrum(yc, len), m);
+    }
+    if (c == 0) {
+      total = cc;
+    } else {
+      for (std::size_t t = 0; t < total.size(); ++t) total[t] += cc[t];
+    }
+  }
+  std::size_t best = 0;
+  for (std::size_t t = 1; t < total.size(); ++t) {
+    if (total[t] > total[best]) best = t;
+  }
+  const double den = linalg::Norm(x) * linalg::Norm(y);
+  return {1.0 - total[best] * (1.0 / den),
+          static_cast<int>(best) - static_cast<int>(m - 1)};
+}
+
+TEST(ClassicOracleTest, SbdEngineMatchesClassicAtOneAndTwoChannels) {
+  HalfSpectrumGuard guard;
+  for (const simd::Backend backend : OracleBackends()) {
+    simd::SetBackendForTesting(backend);
+    for (const std::size_t channels : {1u, 2u}) {
+      for (const std::size_t m : {64u, 100u}) {
+        common::Rng rng(channels * 1000 + m);
+        std::vector<std::vector<double>> rows;
+        for (int i = 0; i < 5; ++i) {
+          rows.push_back(RandomRealVector(channels * m, &rng));
+        }
+        const std::vector<double> query = RandomRealVector(channels * m, &rng);
+        for (const auto impl : {core::CrossCorrelationImpl::kFft,
+                                core::CrossCorrelationImpl::kFftNoPow2}) {
+          for (const bool half : {true, false}) {
+            const core::SbdEngine engine(rows, impl, half,
+                                         /*build_bound_planes=*/false,
+                                         channels);
+            const std::size_t len = engine.fft_length();
+            const core::SbdEngine::Query q = engine.MakeQuery(query);
+            for (std::size_t i = 0; i < rows.size(); ++i) {
+              const std::string where =
+                  "C=" + std::to_string(channels) + " m=" + std::to_string(m) +
+                  " len=" + std::to_string(len) + " half=" +
+                  std::to_string(half) + " i=" + std::to_string(i);
+              const ClassicPeak want_q =
+                  ClassicDistance(query, rows[i], m, channels, len, half);
+              int shift = 0;
+              const double got_q = engine.Distance(q, i, &shift);
+              EXPECT_EQ(std::memcmp(&got_q, &want_q.distance, sizeof(double)),
+                        0)
+                  << where;
+              EXPECT_EQ(shift, want_q.shift) << where;
+              const std::size_t j = (i + 1) % rows.size();
+              const ClassicPeak want_p =
+                  ClassicDistance(rows[i], rows[j], m, channels, len, half);
+              const double got_p = engine.Distance(i, j);
+              EXPECT_EQ(std::memcmp(&got_p, &want_p.distance, sizeof(double)),
+                        0)
+                  << where;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <vector>
@@ -57,6 +58,45 @@ std::vector<double> RandomBuffer(std::size_t n, common::Rng* rng,
   for (double& v : x) v = rng->Uniform(lo, hi);
   return x;
 }
+
+// Bitwise equality (memcmp): unlike ==, tells -0.0 from +0.0.
+bool BitEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// The tables of an n-point radix2_transform, built as fft::Radix2Plan
+// builds them: the n-point twiddles e^{-2πik/n}, each stage's entries
+// k = j·n/len as one contiguous plane, and the quarter bit reversal.
+struct Radix2TestTables {
+  explicit Radix2TestTables(std::size_t n) {
+    tables.n = n;
+    if (n < 2) return;
+    std::size_t log2n = 0;
+    while ((std::size_t{1} << log2n) < n) ++log2n;
+    for (std::size_t len = 2; len <= n; len <<= 1) {
+      for (std::size_t j = 0; j < len / 2; ++j) {
+        const double angle = -2.0 * 3.14159265358979323846 *
+                             static_cast<double>(j * (n / len)) /
+                             static_cast<double>(n);
+        tw_re.push_back(std::cos(angle));
+        tw_im.push_back(std::sin(angle));
+      }
+    }
+    for (std::size_t r = 0; r < n / 4; ++r) {
+      std::size_t rev = 0;
+      for (std::size_t b = 0; b + 2 < log2n; ++b) rev = (rev << 1) | ((r >> b) & 1);
+      quarter_rev.push_back(rev);
+    }
+    tables.tw_re = tw_re.data();
+    tables.tw_im = tw_im.data();
+    tables.quarter_rev = quarter_rev.data();
+  }
+
+  std::vector<double> tw_re, tw_im;
+  std::vector<std::size_t> quarter_rev;
+  simd::Radix2Tables tables;
+};
 
 // Every backend available in this binary on this machine. The scalar backend
 // is always present; the AVX2 entry appears only when the CPU supports it.
@@ -176,23 +216,50 @@ TEST_F(BitIdentityTest, ComplexMulConj) {
   }
 }
 
-TEST_F(BitIdentityTest, ComplexMulConjSoa) {
+TEST_F(BitIdentityTest, MulConjUnpack) {
+  // Both forms (product fused in, and the plain C2R unpack), every h up to
+  // kMaxLength: the vector body, its mirrored loads and the scalar tail.
   common::Rng rng(108);
-  for (std::size_t n = 1; n <= kMaxLength; ++n) {
-    const std::vector<double> a_re = RandomBuffer(n, &rng);
-    const std::vector<double> a_im = RandomBuffer(n, &rng);
-    const std::vector<double> b_re = RandomBuffer(n, &rng);
-    const std::vector<double> b_im = RandomBuffer(n, &rng);
-    std::vector<double> re_s(n, 0.0);
-    std::vector<double> im_s(n, 0.0);
-    std::vector<double> re_v(n, 123.0);  // Different garbage on purpose.
-    std::vector<double> im_v(n, 123.0);
-    scalar_.complex_mul_conj_soa(a_re.data(), a_im.data(), b_re.data(),
-                                 b_im.data(), re_s.data(), im_s.data(), n);
-    avx2_.complex_mul_conj_soa(a_re.data(), a_im.data(), b_re.data(),
-                               b_im.data(), re_v.data(), im_v.data(), n);
-    EXPECT_EQ(re_s, re_v) << "n=" << n;
-    EXPECT_EQ(im_s, im_v) << "n=" << n;
+  for (std::size_t h = 1; h <= kMaxLength; ++h) {
+    const std::vector<double> x_re = RandomBuffer(h + 1, &rng);
+    const std::vector<double> x_im = RandomBuffer(h + 1, &rng);
+    const std::vector<double> y_re = RandomBuffer(h + 1, &rng);
+    const std::vector<double> y_im = RandomBuffer(h + 1, &rng);
+    const std::vector<double> tw_re = RandomBuffer(h + 1, &rng, -1.0, 1.0);
+    const std::vector<double> tw_im = RandomBuffer(h + 1, &rng, -1.0, 1.0);
+    for (const bool product : {true, false}) {
+      std::vector<double> re_s(h, 0.0), im_s(h, 0.0);
+      std::vector<double> re_v(h, 123.0), im_v(h, 123.0);  // Other garbage.
+      const double* yr = product ? y_re.data() : nullptr;
+      const double* yi = product ? y_im.data() : nullptr;
+      scalar_.mul_conj_unpack(x_re.data(), x_im.data(), yr, yi, tw_re.data(),
+                              tw_im.data(), h, re_s.data(), im_s.data());
+      avx2_.mul_conj_unpack(x_re.data(), x_im.data(), yr, yi, tw_re.data(),
+                            tw_im.data(), h, re_v.data(), im_v.data());
+      EXPECT_TRUE(BitEqual(re_s, re_v)) << "h=" << h << " product=" << product;
+      EXPECT_TRUE(BitEqual(im_s, im_v)) << "h=" << h << " product=" << product;
+    }
+  }
+}
+
+TEST_F(BitIdentityTest, Radix2Transform) {
+  // Every power of two up to 4096 in both directions: the scalar fallback
+  // below n = 16, the transposed first pass and every stage width.
+  common::Rng rng(109);
+  for (std::size_t n = 1; n <= 4096; n <<= 1) {
+    const Radix2TestTables t(n);
+    const std::vector<double> in_re = RandomBuffer(n, &rng);
+    const std::vector<double> in_im = RandomBuffer(n, &rng);
+    for (const bool inverse : {false, true}) {
+      std::vector<double> re_s(n, 0.0), im_s(n, 0.0);
+      std::vector<double> re_v(n, 123.0), im_v(n, 123.0);
+      scalar_.radix2_transform(t.tables, in_re.data(), in_im.data(),
+                               re_s.data(), im_s.data(), inverse);
+      avx2_.radix2_transform(t.tables, in_re.data(), in_im.data(),
+                             re_v.data(), im_v.data(), inverse);
+      EXPECT_TRUE(BitEqual(re_s, re_v)) << "n=" << n << " inverse=" << inverse;
+      EXPECT_TRUE(BitEqual(im_s, im_v)) << "n=" << n << " inverse=" << inverse;
+    }
   }
 }
 
@@ -382,35 +449,119 @@ TEST(LegacyAgreementTest, ComplexMulConjMatchesStdComplex) {
   }
 }
 
-TEST(LegacyAgreementTest, ComplexMulConjSoaMatchesInterleavedKernel) {
-  // The SoA kernel computes the same two products and one add/sub per
-  // element as the interleaved kernel, each rounded separately (no fusing in
-  // either), so changing the memory layout changes no value: agreement is
-  // exact, not epsilon.
+TEST(LegacyAgreementTest, MulConjUnpackMatchesMulConjThenStdComplexUnpack) {
+  // The fused kernel is BY CONTRACT the interleaved complex_mul_conj product
+  // followed by the std::complex packed-inverse unpack (bins 0 and h read as
+  // real). Neither side fuses a rounding, so agreement is bitwise.
   common::Rng rng(206);
   for (const Backend backend : AvailableBackends()) {
     const KernelTable& kt = simd::Kernels(backend);
-    for (std::size_t n = 1; n <= kMaxLength; ++n) {
-      const std::vector<double> a = RandomBuffer(2 * n, &rng);
-      const std::vector<double> b = RandomBuffer(2 * n, &rng);
-      std::vector<double> interleaved(2 * n, 0.0);
-      kt.complex_mul_conj(a.data(), b.data(), interleaved.data(), n);
+    for (std::size_t h = 1; h <= kMaxLength; ++h) {
+      const std::size_t b = h + 1;
+      const std::vector<double> a = RandomBuffer(2 * b, &rng);
+      const std::vector<double> c = RandomBuffer(2 * b, &rng);
+      std::vector<double> product(2 * b, 0.0);
+      kt.complex_mul_conj(a.data(), c.data(), product.data(), b);
 
-      std::vector<double> a_re(n), a_im(n), b_re(n), b_im(n);
-      for (std::size_t k = 0; k < n; ++k) {
+      std::vector<double> a_re(b), a_im(b), c_re(b), c_im(b), tw_re(b),
+          tw_im(b);
+      for (std::size_t k = 0; k < b; ++k) {
         a_re[k] = a[2 * k];
         a_im[k] = a[2 * k + 1];
-        b_re[k] = b[2 * k];
-        b_im[k] = b[2 * k + 1];
+        c_re[k] = c[2 * k];
+        c_im[k] = c[2 * k + 1];
+        const double angle = -3.14159265358979323846 *
+                             static_cast<double>(k) / static_cast<double>(h);
+        tw_re[k] = std::cos(angle);
+        tw_im[k] = std::sin(angle);
       }
-      std::vector<double> out_re(n, 0.0);
-      std::vector<double> out_im(n, 0.0);
-      kt.complex_mul_conj_soa(a_re.data(), a_im.data(), b_re.data(),
-                              b_im.data(), out_re.data(), out_im.data(), n);
-      for (std::size_t k = 0; k < n; ++k) {
-        EXPECT_EQ(out_re[k], interleaved[2 * k]) << "n=" << n << " k=" << k;
-        EXPECT_EQ(out_im[k], interleaved[2 * k + 1])
-            << "n=" << n << " k=" << k;
+      for (const bool fused_product : {true, false}) {
+        const std::vector<double>& bins = fused_product ? product : a;
+        std::vector<double> z_re(h), z_im(h);
+        kt.mul_conj_unpack(a_re.data(), a_im.data(),
+                           fused_product ? c_re.data() : nullptr,
+                           fused_product ? c_im.data() : nullptr,
+                           tw_re.data(), tw_im.data(), h, z_re.data(),
+                           z_im.data());
+        const auto bin = [&](std::size_t k) {
+          return std::complex<double>(
+              bins[2 * k], (k == 0 || k == h) ? 0.0 : bins[2 * k + 1]);
+        };
+        std::vector<double> want_re(h), want_im(h);
+        for (std::size_t k = 0; k < h; ++k) {
+          const std::complex<double> ck = bin(k);
+          const std::complex<double> cmk = std::conj(bin(h - k));
+          const std::complex<double> even = 0.5 * (ck + cmk);
+          const std::complex<double> odd =
+              0.5 * (ck - cmk) *
+              std::conj(std::complex<double>(tw_re[k], tw_im[k]));
+          const std::complex<double> z =
+              even + std::complex<double>(0, 1) * odd;
+          want_re[k] = z.real();
+          want_im[k] = z.imag();
+        }
+        EXPECT_TRUE(BitEqual(z_re, want_re))
+            << "backend=" << kt.name << " h=" << h << " fused=" << fused_product;
+        EXPECT_TRUE(BitEqual(z_im, want_im))
+            << "backend=" << kt.name << " h=" << h << " fused=" << fused_product;
+      }
+    }
+  }
+}
+
+TEST(LegacyAgreementTest, Radix2TransformMatchesClassicTransform) {
+  // The split transform is BY CONTRACT the classic in-place transform — a
+  // bit-reversal swap pass, then interleaved butterflies reading the
+  // n-point table at stride n/len — with the same per-element rounding
+  // sequence, including the len-2 stage's multiply by w = (1, -0).
+  common::Rng rng(208);
+  for (const Backend backend : AvailableBackends()) {
+    const KernelTable& kt = simd::Kernels(backend);
+    for (std::size_t n = 1; n <= 4096; n <<= 1) {
+      const Radix2TestTables t(n);
+      const std::vector<double> in_re = RandomBuffer(n, &rng);
+      const std::vector<double> in_im = RandomBuffer(n, &rng);
+      for (const bool inverse : {false, true}) {
+        std::vector<double> out_re(n), out_im(n);
+        kt.radix2_transform(t.tables, in_re.data(), in_im.data(),
+                            out_re.data(), out_im.data(), inverse);
+
+        std::vector<double> re = in_re, im = in_im;
+        std::size_t log2n = 0;
+        while ((std::size_t{1} << log2n) < n) ++log2n;
+        for (std::size_t i = 0; i < n; ++i) {
+          std::size_t j = 0;
+          for (std::size_t b = 0; b < log2n; ++b) j = (j << 1) | ((i >> b) & 1);
+          if (i < j) {
+            std::swap(re[i], re[j]);
+            std::swap(im[i], im[j]);
+          }
+        }
+        for (std::size_t len = 2; len <= n; len <<= 1) {
+          for (std::size_t base = 0; base < n; base += len) {
+            for (std::size_t j = 0; j < len / 2; ++j) {
+              const double angle = -2.0 * 3.14159265358979323846 *
+                                   static_cast<double>(j * (n / len)) /
+                                   static_cast<double>(n);
+              const double wr = std::cos(angle);
+              const double wi = inverse ? -std::sin(angle) : std::sin(angle);
+              const std::size_t lo = base + j;
+              const std::size_t hi = lo + len / 2;
+              const double vr = re[hi] * wr - im[hi] * wi;
+              const double vi = re[hi] * wi + im[hi] * wr;
+              const double ur = re[lo];
+              const double ui = im[lo];
+              re[lo] = ur + vr;
+              im[lo] = ui + vi;
+              re[hi] = ur - vr;
+              im[hi] = ui - vi;
+            }
+          }
+        }
+        EXPECT_TRUE(BitEqual(out_re, re))
+            << "backend=" << kt.name << " n=" << n << " inverse=" << inverse;
+        EXPECT_TRUE(BitEqual(out_im, im))
+            << "backend=" << kt.name << " n=" << n << " inverse=" << inverse;
       }
     }
   }
