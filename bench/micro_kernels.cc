@@ -17,6 +17,7 @@
 #include "distance/dtw.h"
 #include "distance/euclidean.h"
 #include "fft/fft.h"
+#include "fft/rfft.h"
 #include "simd/dispatch.h"
 #include "simd/kernels.h"
 #include "tseries/normalization.h"
@@ -206,6 +207,72 @@ BENCHMARK(BM_SimdPeakScan<kshape::simd::Backend::kScalar>)
     ->Name("BM_SimdPeakScan_Scalar")->Arg(128)->Arg(512)->Arg(2048);
 BENCHMARK(BM_SimdPeakScan<kshape::simd::Backend::kAvx2>)
     ->Name("BM_SimdPeakScan_Avx2")->Arg(128)->Arg(512)->Arg(2048);
+
+// Runs one benchmark under `backend` and restores the process-wide table.
+class ScopedBackend {
+ public:
+  explicit ScopedBackend(kshape::simd::Backend backend)
+      : saved_(kshape::simd::ActiveBackend()) {
+    kshape::simd::SetBackendForTesting(backend);
+  }
+  ~ScopedBackend() { kshape::simd::SetBackendForTesting(saved_); }
+
+ private:
+  kshape::simd::Backend saved_;
+};
+
+// One cached C = 1 pair under each backend: the fused product-unpack, the
+// half-size inverse and the NCC peak — what every assignment, seeding and
+// Predict distance pays once the spectra exist.
+template <kshape::simd::Backend kBackend>
+void BM_SimdPairPeak(benchmark::State& state) {
+  if (kBackend == kshape::simd::Backend::kAvx2 &&
+      !kshape::simd::Avx2Available()) {
+    state.SkipWithError("AVX2 backend unavailable");
+    return;
+  }
+  const ScopedBackend backend(kBackend);
+  const std::size_t m = static_cast<std::size_t>(state.range(0));
+  kshape::common::Rng rng(12);
+  const std::vector<Series> pair = {RandomSeries(m, &rng),
+                                    RandomSeries(m, &rng)};
+  const kshape::core::SbdEngine engine(pair);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.Distance(0, 1));
+  }
+}
+BENCHMARK(BM_SimdPairPeak<kshape::simd::Backend::kScalar>)
+    ->Name("BM_SimdPairPeak_Scalar")->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_SimdPairPeak<kshape::simd::Backend::kAvx2>)
+    ->Name("BM_SimdPairPeak_Avx2")->Arg(128)->Arg(256)->Arg(512);
+
+// One packed real forward of a length-m series at the SBD padding n =
+// NextPowerOfTwo(2m - 1): what every Predict, ingest and centroid pays.
+template <kshape::simd::Backend kBackend>
+void BM_RfftForward(benchmark::State& state) {
+  if (kBackend == kshape::simd::Backend::kAvx2 &&
+      !kshape::simd::Avx2Available()) {
+    state.SkipWithError("AVX2 backend unavailable");
+    return;
+  }
+  const ScopedBackend backend(kBackend);
+  const std::size_t m = static_cast<std::size_t>(state.range(0));
+  kshape::common::Rng rng(13);
+  const Series x = RandomSeries(m, &rng);
+  const kshape::fft::RfftPlan& plan =
+      kshape::fft::GetRfftPlan(kshape::fft::NextPowerOfTwo(2 * m - 1));
+  std::vector<double> re(plan.bins()), im(plan.bins());
+  for (auto _ : state) {
+    plan.Forward(x, re.data(), im.data());
+    benchmark::DoNotOptimize(re.data());
+    benchmark::DoNotOptimize(im.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RfftForward<kshape::simd::Backend::kScalar>)
+    ->Name("BM_RfftForward_Scalar")->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_RfftForward<kshape::simd::Backend::kAvx2>)
+    ->Name("BM_RfftForward_Avx2")->Arg(128)->Arg(256)->Arg(512);
 
 template <bool kUsePowerIteration>
 void BM_ShapeExtraction(benchmark::State& state) {

@@ -1,7 +1,6 @@
 #include "core/sbd_engine.h"
 
 #include <cmath>
-#include <utility>
 
 #include "common/check.h"
 #include "common/env_gate.h"
@@ -17,34 +16,44 @@ namespace {
 // abs_product_partial_sums kernel contract (16 elements per band).
 constexpr std::size_t kBoundCheckpoint = 16;
 
-// Bin k of one channel's spectrum, packed half or full complex, as (re, im).
-std::pair<double, double> Bin(const fft::RfftView& v, std::size_t k) {
-  return {v.re[k], v.im[k]};
-}
-std::pair<double, double> Bin(const std::vector<fft::Complex>& s,
-                              std::size_t k) {
-  return {s[k].real(), s[k].imag()};
+// The packed bins [0, fft_len/2] of a full-complex spectrum as split
+// planes, in per-thread scratch that the next call overwrites.
+fft::RfftView SplitBins(const std::vector<fft::Complex>& spectrum,
+                        std::size_t fft_len) {
+  static thread_local std::vector<double> planes;
+  const std::size_t bins = fft::RfftBins(fft_len);
+  planes.resize(2 * bins);
+  for (std::size_t k = 0; k < bins; ++k) {
+    planes[k] = spectrum[k].real();
+    planes[bins + k] = spectrum[k].imag();
+  }
+  return fft::RfftView{fft_len, planes.data(), planes.data() + bins};
 }
 
 // Fills one weighted magnitude plane, channel after channel: mag[c·B + k] =
 // sqrt(w_k |X_c,k|^2) over the B packed bins of each of the C channels (w = 2
 // on interior bins whose conjugate mirror was folded in, 1 on DC and — for
-// even fft_len — Nyquist), then the checkpointed suffix norms over the whole
-// concatenation, tail[t] = sqrt(Σ_{u >= 16t} mag[u]^2). Sequential per
-// series, so the plane contents are a fixed arithmetic sequence regardless
-// of thread count. `channel(c)` returns channel c's spectrum.
+// even fft_len — Nyquist; simd::magnitudes), then the checkpointed suffix
+// norms over the whole concatenation, tail[t] = sqrt(Σ_{u >= 16t} mag[u]^2),
+// one sequential chain. Sequential per series, so the plane contents are a
+// fixed arithmetic sequence regardless of thread count. `channel(c)` returns
+// channel c's packed bins.
 template <typename ChannelFn>
 void FillBoundPlane(std::size_t fft_len, std::size_t channels,
                     ChannelFn channel, double* mag, double* tail) {
+  const simd::KernelTable& kernels = simd::Active();
   const std::size_t bins = fft::RfftBins(fft_len);
   const std::size_t ntail = channels * bins / kBoundCheckpoint + 1;
   const bool has_nyquist = (fft_len % 2 == 0) && bins >= 2;
+  const std::size_t interior = bins - 1 - (has_nyquist ? 1 : 0);
   for (std::size_t c = 0; c < channels; ++c) {
-    const auto& spectrum = channel(c);
-    for (std::size_t k = 0; k < bins; ++k) {
-      const auto [br, bi] = Bin(spectrum, k);
-      const double w = (k == 0 || (has_nyquist && k == bins - 1)) ? 1.0 : 2.0;
-      mag[c * bins + k] = std::sqrt(w * (br * br + bi * bi));
+    const fft::RfftView v = channel(c);
+    double* out = mag + c * bins;
+    kernels.magnitudes(v.re, v.im, 1, 1.0, out);
+    kernels.magnitudes(v.re + 1, v.im + 1, interior, 2.0, out + 1);
+    if (has_nyquist) {
+      kernels.magnitudes(v.re + bins - 1, v.im + bins - 1, 1, 1.0,
+                         out + bins - 1);
     }
   }
   double energy = 0.0;
@@ -57,8 +66,10 @@ void FillBoundPlane(std::size_t fft_len, std::size_t channels,
 }
 
 // Peak of Σ_c cc_c, where `channel_cc(c, &cc)` fills channel c's lags (one
-// inverse transform), summed lag by lag in channel order. The buffers are
-// thread_local so concurrent per-pair evaluations never share them.
+// inverse transform), summed lag by lag in channel order: the lag-buffer
+// path of the full-complex layout and of non-power-of-two packed lengths.
+// The buffers are thread_local so concurrent per-pair evaluations never
+// share them.
 template <typename ChannelCc>
 simd::Peak SummedPeak(std::size_t channels, const ChannelCc& channel_cc) {
   static thread_local std::vector<double> cc;
@@ -71,6 +82,32 @@ simd::Peak SummedPeak(std::size_t channels, const ChannelCc& channel_cc) {
     for (std::size_t t = 0; t < total.size(); ++t) total[t] += cc[t];
   }
   return simd::PeakScan(total);
+}
+
+// Peak of the packed pair whose channel-c spectra are x(c) and y(c): read
+// straight off the inverse planes on power-of-two lengths
+// (fft::CrossCorrelationPeakFromRfft, no lag buffer), through SummedPeak
+// otherwise.
+template <typename XFn, typename YFn>
+simd::Peak HalfSpectrumPeak(const fft::RfftPlan& plan, std::size_t channels,
+                            std::size_t m, const XFn& x, const YFn& y) {
+  if (!plan.packed()) {
+    return SummedPeak(channels, [&](std::size_t c, std::vector<double>* cc) {
+      fft::CrossCorrelationFromRfft(plan, x(c), y(c), m, cc);
+    });
+  }
+  if (channels == 1) {
+    const fft::RfftView xv = x(0), yv = y(0);
+    return fft::CrossCorrelationPeakFromRfft(plan, {&xv, 1}, {&yv, 1}, m);
+  }
+  static thread_local std::vector<fft::RfftView> xs, ys;
+  xs.resize(channels);
+  ys.resize(channels);
+  for (std::size_t c = 0; c < channels; ++c) {
+    xs[c] = x(c);
+    ys[c] = y(c);
+  }
+  return fft::CrossCorrelationPeakFromRfft(plan, xs, ys, m);
 }
 
 common::EnvGate g_pruning{"KSHAPE_PRUNE"};
@@ -143,7 +180,9 @@ SbdEngine::SbdEngine(const tseries::SeriesBatch& series,
         } else {
           FillBoundPlane(
               fft_len_, channels_,
-              [&](std::size_t c) -> const auto& { return spectra_[slot + c]; },
+              [&](std::size_t c) {
+                return SplitBins(spectra_[slot + c], fft_len_);
+              },
               mag, tail);
         }
       }
@@ -186,7 +225,7 @@ SbdEngine::Query SbdEngine::MakeQueryFor(tseries::SeriesView q, std::size_t m,
     } else {
       FillBoundPlane(
           fft_len, channels,
-          [&](std::size_t c) -> const auto& { return query.spectrum[c]; },
+          [&](std::size_t c) { return SplitBins(query.spectrum[c], fft_len); },
           query.mag.data(), query.tail.data());
     }
   }
@@ -194,14 +233,15 @@ SbdEngine::Query SbdEngine::MakeQueryFor(tseries::SeriesView q, std::size_t m,
 }
 
 simd::Peak SbdEngine::RawPeak(std::size_t i, std::size_t j) const {
+  if (half_) {
+    return HalfSpectrumPeak(
+        batch_->plan(), channels_, m_,
+        [&](std::size_t c) { return batch_->view(i * channels_ + c); },
+        [&](std::size_t c) { return batch_->view(j * channels_ + c); });
+  }
   return SummedPeak(channels_, [&](std::size_t c, std::vector<double>* cc) {
-    const std::size_t x = i * channels_ + c, y = j * channels_ + c;
-    if (half_) {
-      fft::CrossCorrelationFromRfft(batch_->plan(), batch_->view(x),
-                                    batch_->view(y), m_, cc);
-    } else {
-      fft::CrossCorrelationFromSpectra(spectra_[x], spectra_[y], m_, cc);
-    }
+    fft::CrossCorrelationFromSpectra(spectra_[i * channels_ + c],
+                                     spectra_[j * channels_ + c], m_, cc);
   });
 }
 
@@ -209,14 +249,15 @@ simd::Peak SbdEngine::RawPeak(const Query& q, std::size_t i) const {
   KSHAPE_CHECK_MSG(
       (half_ ? q.rspectrum.size() : q.spectrum.size()) == channels_,
       "query minted by a different engine configuration");
+  if (half_) {
+    return HalfSpectrumPeak(
+        batch_->plan(), channels_, m_,
+        [&](std::size_t c) { return q.rspectrum[c].view(); },
+        [&](std::size_t c) { return batch_->view(i * channels_ + c); });
+  }
   return SummedPeak(channels_, [&](std::size_t c, std::vector<double>* cc) {
-    const std::size_t y = i * channels_ + c;
-    if (half_) {
-      fft::CrossCorrelationFromRfft(batch_->plan(), q.rspectrum[c].view(),
-                                    batch_->view(y), m_, cc);
-    } else {
-      fft::CrossCorrelationFromSpectra(q.spectrum[c], spectra_[y], m_, cc);
-    }
+    fft::CrossCorrelationFromSpectra(q.spectrum[c],
+                                     spectra_[i * channels_ + c], m_, cc);
   });
 }
 

@@ -87,8 +87,11 @@ void ResetPeakScanStatsForTesting();
 /// Channels: a series may be one channel-major row of C channels of length m
 /// that shift together. Its norm is sqrt(Σ_c ‖x_c‖²) and its
 /// cross-correlation is the channel sequences summed lag by lag (C inverses
-/// per pair): MultivariateSbd, cached. The bound plane concatenates the C
-/// channel planes, so the Σ_c bound is still one dot product.
+/// per pair): MultivariateSbd, cached. On power-of-two packed lengths the
+/// peak is read straight off the inverse planes
+/// (fft::CrossCorrelationPeakFromRfft), with no lag buffer. The bound plane
+/// concatenates the C channel planes, so the Σ_c bound is still one dot
+/// product.
 ///
 /// Thread-safety: immutable after construction; all const members may be
 /// called concurrently (per-pair scratch is thread_local inside src/fft).

@@ -25,19 +25,22 @@ std::vector<Complex>& GenericScratch() {
 }
 
 // Per-thread split planes of the power-of-two path: the half-size spectrum
-// z and its transform t, h values each. No packed entry point nests another,
-// so one set serves them all.
+// z, its transform t, and the channel sum s of the multichannel peak, h
+// values each. No packed entry point nests another, so one set serves them
+// all.
 struct PackedPlanes {
   double* z_re;
   double* z_im;
   double* t_re;
   double* t_im;
+  double* s_re;
+  double* s_im;
 };
 PackedPlanes PackedScratch(std::size_t h) {
   static thread_local std::vector<double> planes;
-  if (planes.size() < 4 * h) planes.resize(4 * h);
+  if (planes.size() < 6 * h) planes.resize(6 * h);
   double* p = planes.data();
-  return PackedPlanes{p, p + h, p + 2 * h, p + 3 * h};
+  return PackedPlanes{p, p + h, p + 2 * h, p + 3 * h, p + 4 * h, p + 5 * h};
 }
 
 // out[i] = time[begin + i] * scale for i < count, where time is the
@@ -111,28 +114,15 @@ void RfftPlan::Forward(std::span<const double> x, double* out_re,
   //       O[k] = (Z[k] - conj(Z[h-k])) / (2i)
   // are the h-point DFTs of the even and odd subsequences. Bins 0 and h come
   // straight from Z[0]: X[0] = Re(Z0) + Im(Z0), X[h] = Re(Z0) - Im(Z0), both
-  // exactly real.
+  // exactly real. The pack and the unpack are kernels (simd::forward_pack,
+  // simd::forward_unpack); the unpack is bitwise the std::complex one.
   const std::size_t h = n_ / 2;
   const PackedPlanes p = PackedScratch(h);
-  for (std::size_t j = 0; j < h; ++j) {
-    p.z_re[j] = 2 * j < x.size() ? x[2 * j] : 0.0;
-    p.z_im[j] = 2 * j + 1 < x.size() ? x[2 * j + 1] : 0.0;
-  }
+  const simd::KernelTable& kernels = simd::Active();
+  kernels.forward_pack(x.data(), x.size(), h, p.z_re, p.z_im);
   half_plan_->Transform(p.z_re, p.z_im, p.t_re, p.t_im, /*inverse=*/false);
-
-  out_re[0] = p.t_re[0] + p.t_im[0];
-  out_im[0] = 0.0;
-  out_re[h] = p.t_re[0] - p.t_im[0];
-  out_im[h] = 0.0;
-  for (std::size_t k = 1; k < h; ++k) {
-    const Complex zk(p.t_re[k], p.t_im[k]);
-    const Complex zmk = std::conj(Complex(p.t_re[h - k], p.t_im[h - k]));
-    const Complex even = 0.5 * (zk + zmk);
-    const Complex odd = Complex(0, -0.5) * (zk - zmk);
-    const Complex bin = even + Complex(tw_re_[k], tw_im_[k]) * odd;
-    out_re[k] = bin.real();
-    out_im[k] = bin.imag();
-  }
+  kernels.forward_unpack(p.t_re, p.t_im, tw_re_.data(), tw_im_.data(), h,
+                         out_re, out_im);
 }
 
 void RfftPlan::Inverse(const double* re, const double* im,
@@ -275,6 +265,43 @@ void CrossCorrelationFromRfft(const RfftPlan& plan, const RfftView& x,
   const double scale = 1.0 / static_cast<double>(h);
   InterleaveScaled(p.t_re, p.t_im, len - (m - 1), m - 1, scale, cc->data());
   InterleaveScaled(p.t_re, p.t_im, 0, m, scale, cc->data() + (m - 1));
+}
+
+simd::Peak CrossCorrelationPeakFromRfft(const RfftPlan& plan,
+                                        std::span<const RfftView> x,
+                                        std::span<const RfftView> y,
+                                        std::size_t m) {
+  const std::size_t len = plan.n();
+  KSHAPE_CHECK_MSG(plan.packed_, "the fused peak needs a power-of-two plan");
+  KSHAPE_CHECK(!x.empty() && x.size() == y.size());
+  KSHAPE_CHECK(m >= 1);
+  KSHAPE_CHECK(len >= 2 * m - 1);
+  const std::size_t h = len / 2;
+  const double scale = 1.0 / static_cast<double>(h);
+  const PackedPlanes p = PackedScratch(h);
+  const simd::KernelTable& kernels = simd::Active();
+  const auto inverse = [&](std::size_t c, double* t_re, double* t_im) {
+    KSHAPE_CHECK_MSG(x[c].fft_len == len && y[c].fft_len == len,
+                     "plan/spectrum length mismatch");
+    plan.HalfInverse(x[c].re, x[c].im, y[c].re, y[c].im, p.z_re, p.z_im, t_re,
+                     t_im);
+  };
+  if (x.size() == 1) {
+    inverse(0, p.t_re, p.t_im);
+    return kernels.lag_peak(p.t_re, p.t_im, h, m, scale);
+  }
+  // Σ_c of the scaled planes in channel order: per time index the same
+  // cc_0 + cc_1 + ... sequence as summing lag buffers, then the peak at
+  // scale 1 (exact).
+  inverse(0, p.s_re, p.s_im);
+  kernels.scale(p.s_re, scale, h);
+  kernels.scale(p.s_im, scale, h);
+  for (std::size_t c = 1; c < x.size(); ++c) {
+    inverse(c, p.t_re, p.t_im);
+    kernels.axpy(scale, p.t_re, p.s_re, h);
+    kernels.axpy(scale, p.t_im, p.s_im, h);
+  }
+  return kernels.lag_peak(p.s_re, p.s_im, h, m, 1.0);
 }
 
 void CrossCorrelationFromRfft(const RfftView& x, const RfftView& y,

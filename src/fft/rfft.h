@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "fft/fft.h"
+#include "simd/kernels.h"
 
 namespace kshape::fft {
 
@@ -72,10 +73,18 @@ class RfftPlan {
   /// Packed half-spectrum bin count, n/2 + 1.
   std::size_t bins() const { return RfftBins(n_); }
 
+  /// True for power-of-two n >= 2, the even/odd packing path (the only
+  /// plans CrossCorrelationPeakFromRfft accepts).
+  bool packed() const { return packed_; }
+
  private:
   friend void CrossCorrelationFromRfft(const RfftPlan& plan,
                                        const RfftView& x, const RfftView& y,
                                        std::size_t m, std::vector<double>* cc);
+  friend simd::Peak CrossCorrelationPeakFromRfft(const RfftPlan& plan,
+                                                 std::span<const RfftView> x,
+                                                 std::span<const RfftView> y,
+                                                 std::size_t m);
 
   // The packed inverse short of its output pass: the fused
   // simd::mul_conj_unpack of X·conj(Y) (of X alone when y_re is null) into
@@ -177,6 +186,22 @@ void CrossCorrelationFromRfft(const RfftView& x, const RfftView& y,
 void CrossCorrelationFromRfft(const RfftPlan& plan, const RfftView& x,
                               const RfftView& y, std::size_t m,
                               std::vector<double>* cc);
+
+/// The peak of the channel-summed cross-correlation Σ_c cc(x[c], y[c]),
+/// with no lag buffer: per channel the fused product-unpack and ONE
+/// half-size inverse transform, then simd::lag_peak reads the 2m-1 valid
+/// lags straight off the inverse planes (the circular gap between them is
+/// never read). For C = x.size() > 1 the planes, each scaled by the exact
+/// 1/(n/2), are summed in channel order first, so every lag carries the
+/// arithmetic of summing CrossCorrelationFromRfft buffers lag by lag. The
+/// result — value and index in cc order — is bitwise simd::PeakScan of
+/// that sum (tests/rfft_test.cc's oracle). Requires plan.packed(), x and y
+/// of one size C >= 1 with every view at fft_len plan.n() >= 2m-1, and
+/// finite spectra.
+simd::Peak CrossCorrelationPeakFromRfft(const RfftPlan& plan,
+                                        std::span<const RfftView> x,
+                                        std::span<const RfftView> y,
+                                        std::size_t m);
 
 /// Direct-path counterpart of CrossCorrelationFft: two forward half-spectrum
 /// transforms at NextPowerOfTwo(2m-1), then CrossCorrelationFromRfft. Same

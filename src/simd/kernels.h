@@ -46,9 +46,18 @@ struct Radix2Tables {
 /// `-ffp-contract=off` so the compiler cannot fuse behind our back).
 ///
 /// Elementwise kernels (axpy, scale, apply_znorm, complex_mul_conj,
-/// mul_conj_unpack, dtw_row) and the radix2_transform butterflies have no
-/// cross-element reduction, so their per-element rounding sequence is
-/// identical by construction.
+/// mul_conj_unpack, forward_pack, forward_unpack, magnitudes, dtw_row) and
+/// the radix2_transform butterflies have no cross-element reduction, so
+/// their per-element rounding sequence is identical by construction. A
+/// vector body may fold a negation into the sign of an add — x + (-y) is
+/// x - y and x·(-y) is -(x·y) in IEEE arithmetic — which rewrites no
+/// rounding. The peaks (peak_scan, lag_peak) are a max pass and an
+/// equality search: exact comparisons, no rounding to reorder.
+///
+/// Precondition of every kernel: finite input (no NaN; ±inf only where a
+/// kernel says so). The `Try*` entry points of the library reject
+/// non-finite series before they reach a kernel; on NaN the backends may
+/// disagree.
 struct KernelTable {
   /// Backend name for logs/benchmarks ("scalar", "avx2").
   const char* name;
@@ -108,15 +117,60 @@ struct KernelTable {
   /// the same expressions — so z is bitwise the unfused std::complex unpack
   /// of the complex_mul_conj product for finite inputs. Output planes may not
   /// alias the inputs.
+  /// Each bin's product is formed once: the kernel walks the mirror pairs
+  /// (k, h-k) and writes both z[k] and z[h-k] from the two products.
   void (*mul_conj_unpack)(const double* x_re, const double* x_im,
                           const double* y_re, const double* y_im,
                           const double* tw_re, const double* tw_im,
                           std::size_t h, double* z_re, double* z_im);
 
-  /// Max + lowest-index argmax under a strict-greater scan (ties keep the
-  /// earliest index, matching a sequential `if (x[i] > best)` loop exactly).
-  /// Requires n >= 1.
+  /// The packed real-forward even/odd pack with its zero pad: for j in
+  /// [0, h), z_re[j] = x[2j] and z_im[j] = x[2j+1], each 0.0 past the
+  /// `count` samples of x (requires count <= 2h). Pure data movement.
+  void (*forward_pack)(const double* x, std::size_t count, std::size_t h,
+                       double* z_re, double* z_im);
+
+  /// The packed real-forward unpack: from the h-point DFT Z of the packed
+  /// samples (t_re / t_im, h >= 1 values) and w = (tw_re[k], tw_im[k]) =
+  /// e^{-2πik/n}, n = 2h, writes the h + 1 bins X[0..h]:
+  ///   X[0] = (tr0 + ti0, 0.0),  X[h] = (tr0 - ti0, 0.0),
+  /// and for k in [1, h), with zk = Z[k], zmk = conj(Z[h-k]) = (mr, -mi),
+  ///   even = 0.5·(zk + zmk),  d = zk - zmk,
+  ///   odd  = (0 - 0.5i)·d     (re = 0*dr - (-0.5)*di,
+  ///                            im = 0*di + (-0.5)*dr),
+  ///   X[k] = even + w·odd     (re = er + (wr*or - wi*oi),
+  ///                            im = ei + (wr*oi + wi*or)),
+  /// which is the operation sequence std::complex<double> evaluates for
+  /// `0.5 * (zk + zmk) + w * (Complex(0, -0.5) * (zk - zmk))`, zero
+  /// products included (they fix the sign of a zero) — so X is bitwise the
+  /// std::complex unpack for finite input. Outputs may not alias inputs.
+  void (*forward_unpack)(const double* t_re, const double* t_im,
+                         const double* tw_re, const double* tw_im,
+                         std::size_t h, double* out_re, double* out_im);
+
+  /// The peak of a sequential strict-greater scan (`if (x[i] > best)`, best
+  /// starting at x[0]), computed as a max pass and then a first-index pass:
+  /// value = x[i] and index = i for the lowest i with x[i] == max x. The two
+  /// agree exactly for finite input or ±inf (±0 compare equal, so a -0.0
+  /// before a +0.0 maximum wins with its own sign). Requires n >= 1.
   Peak (*peak_scan)(const double* x, std::size_t n);
+
+  /// peak_scan over the 2m-1 lags of a packed half-size inverse, read off
+  /// its planes with no lag buffer. The n = 2h point circular sequence is
+  /// time[2j] = t_re[j], time[2j+1] = t_im[j]; its lag buffer (the layout
+  /// of fft::CrossCorrelationFromRfft) is
+  ///   cc[i] = time[n - (m-1) + i] * scale   for i in [0, m-1),
+  ///   cc[m-1+i] = time[i] * scale           for i in [0, m),
+  /// and the result is exactly peak_scan(cc, 2m-1): the index is in cc
+  /// order and the value is that element's own time·scale product. The
+  /// gap [m, n-m+1) is never read. The max pass takes the max of the raw
+  /// valid values; rounding a product is monotone, so max(t)·scale =
+  /// max(t·scale), and the search pass compares each element's t·scale
+  /// with it. Exact for finite or ±inf planes. Requires 1 <= m,
+  /// 2m-1 <= n and scale > 0 (the packed inverse's exact 1/h, or 1 for a
+  /// sum of already-scaled planes).
+  Peak (*lag_peak)(const double* t_re, const double* t_im, std::size_t h,
+                   std::size_t m, double scale);
 
   /// y[i] += a * x[i].
   void (*axpy)(double a, const double* x, double* y, std::size_t n);
@@ -138,6 +192,12 @@ struct KernelTable {
   /// cost/e precomputation and share the identical serial combine.
   void (*dtw_row)(const double* prev_jm1, const double* y_jm1, double xi,
                   double left_seed, double* cur, std::size_t count);
+
+  /// out[k] = sqrt(w * (re[k]*re[k] + im[k]*im[k])), each product and sum
+  /// rounded separately. IEEE sqrt is correctly rounded, so every backend
+  /// (vector sqrt included) gives std::sqrt's bits.
+  void (*magnitudes)(const double* re, const double* im, std::size_t n,
+                     double w, double* out);
 
   /// Early-abandoning Σ a_mag[k]*b_mag[k] over nonnegative magnitude planes,
   /// with Cauchy–Schwarz tail bounds at the squared_ed_abandon checkpoint

@@ -17,9 +17,7 @@
 
 #include <immintrin.h>
 
-#include <cstdint>
-#include <limits>
-#include <vector>
+#include <cmath>
 
 namespace kshape::simd {
 
@@ -232,6 +230,30 @@ inline void LoadBins(const double* x_re, const double* x_im,
   }
 }
 
+// Lanes in reverse order: [v3, v2, v1, v0].
+inline __m256d Reverse(__m256d v) { return _mm256_permute4x64_pd(v, 0x1B); }
+
+// UnpackBin on four lanes, rewritten exactly: x + (-y) is x - y and
+// x·(-y) is -(x·y) in IEEE arithmetic, so the two negations (cmi, twi)
+// fold into the signs of the adds.
+inline void Unpack4(__m256d cr, __m256d ci, __m256d mr, __m256d mi,
+                    __m256d wr, __m256d wi, double* zr, double* zi) {
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d er = _mm256_mul_pd(half, _mm256_add_pd(cr, mr));
+  const __m256d ei = _mm256_mul_pd(half, _mm256_sub_pd(ci, mi));
+  const __m256d sr = _mm256_mul_pd(half, _mm256_sub_pd(cr, mr));
+  const __m256d si = _mm256_mul_pd(half, _mm256_add_pd(ci, mi));
+  const __m256d odr =
+      _mm256_add_pd(_mm256_mul_pd(sr, wr), _mm256_mul_pd(si, wi));
+  const __m256d odi =
+      _mm256_sub_pd(_mm256_mul_pd(si, wr), _mm256_mul_pd(sr, wi));
+  _mm256_storeu_pd(
+      zr, _mm256_add_pd(er, _mm256_sub_pd(_mm256_mul_pd(zero, odr), odi)));
+  _mm256_storeu_pd(
+      zi, _mm256_add_pd(ei, _mm256_add_pd(_mm256_mul_pd(zero, odi), odr)));
+}
+
 template <bool kProduct>
 void MulConjUnpackImpl(const double* x_re, const double* x_im,
                        const double* y_re, const double* y_im,
@@ -246,40 +268,31 @@ void MulConjUnpackImpl(const double* x_re, const double* x_im,
     return x_im[k];
   };
   UnpackBin(bin_re(0), 0.0, bin_re(h), 0.0, tw_re[0], tw_im[0], z_re, z_im);
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  const __m256d half = _mm256_set1_pd(0.5);
-  const __m256d zero = _mm256_setzero_pd();
   std::size_t k = 1;
-  // Four bins per iteration: C[k..k+3] and their mirrors C[h-k-3..h-k]
-  // (loaded forward, lane-reversed), the same per-lane sequence as
-  // UnpackBin with negation as a sign flip.
-  for (; k + 4 <= h; k += 4) {
-    __m256d cr, ci, mr, mi;
+  // Mirror blocks [k, k+4) and [h-k-3, h-k+1), disjoint while 2k + 7 <= h:
+  // each block's four products are formed once, and each block, lane-
+  // reversed, is the other's mirror.
+  for (; 2 * k + 7 <= h; k += 4) {
+    const std::size_t mk = h - k - 3;
+    __m256d cr, ci, br, bi;
     LoadBins<kProduct>(x_re, x_im, y_re, y_im, k, &cr, &ci);
-    LoadBins<kProduct>(x_re, x_im, y_re, y_im, h - k - 3, &mr, &mi);
-    mr = _mm256_permute4x64_pd(mr, 0x1B);
-    mi = _mm256_permute4x64_pd(mi, 0x1B);
-    const __m256d cmi = _mm256_xor_pd(mi, sign);
-    const __m256d er = _mm256_mul_pd(half, _mm256_add_pd(cr, mr));
-    const __m256d ei = _mm256_mul_pd(half, _mm256_add_pd(ci, cmi));
-    const __m256d sr = _mm256_mul_pd(half, _mm256_sub_pd(cr, mr));
-    const __m256d si = _mm256_mul_pd(half, _mm256_sub_pd(ci, cmi));
-    const __m256d wr = _mm256_loadu_pd(tw_re + k);
-    const __m256d twi = _mm256_xor_pd(_mm256_loadu_pd(tw_im + k), sign);
-    const __m256d odr =
-        _mm256_sub_pd(_mm256_mul_pd(sr, wr), _mm256_mul_pd(si, twi));
-    const __m256d odi =
-        _mm256_add_pd(_mm256_mul_pd(sr, twi), _mm256_mul_pd(si, wr));
-    _mm256_storeu_pd(
-        z_re + k,
-        _mm256_add_pd(er, _mm256_sub_pd(_mm256_mul_pd(zero, odr), odi)));
-    _mm256_storeu_pd(
-        z_im + k,
-        _mm256_add_pd(ei, _mm256_add_pd(_mm256_mul_pd(zero, odi), odr)));
+    LoadBins<kProduct>(x_re, x_im, y_re, y_im, mk, &br, &bi);
+    Unpack4(cr, ci, Reverse(br), Reverse(bi), _mm256_loadu_pd(tw_re + k),
+            _mm256_loadu_pd(tw_im + k), z_re + k, z_im + k);
+    Unpack4(br, bi, Reverse(cr), Reverse(ci), _mm256_loadu_pd(tw_re + mk),
+            _mm256_loadu_pd(tw_im + mk), z_re + mk, z_im + mk);
   }
-  for (; k < h; ++k) {
-    UnpackBin(bin_re(k), bin_im(k), bin_re(h - k), bin_im(h - k), tw_re[k],
-              tw_im[k], z_re + k, z_im + k);
+  // The middle pairs, as the scalar backend walks them.
+  for (; 2 * k <= h; ++k) {
+    const std::size_t mk = h - k;
+    const double cr = bin_re(k), ci = bin_im(k);
+    if (mk == k) {
+      UnpackBin(cr, ci, cr, ci, tw_re[k], tw_im[k], z_re + k, z_im + k);
+      continue;
+    }
+    const double mr = bin_re(mk), mi = bin_im(mk);
+    UnpackBin(cr, ci, mr, mi, tw_re[k], tw_im[k], z_re + k, z_im + k);
+    UnpackBin(mr, mi, cr, ci, tw_re[mk], tw_im[mk], z_re + mk, z_im + mk);
   }
 }
 
@@ -296,75 +309,202 @@ void MulConjUnpackAvx2(const double* x_re, const double* x_im,
   }
 }
 
-Peak PeakScanAvx2(const double* x, std::size_t n) {
-  // The peak is a max/argmax, not a rounded reduction: comparisons are exact,
-  // so ANY index partition yields the sequential scan's result as long as
-  // each partition keeps the lowest index of its own maximum (strict-greater
-  // updates) and the final combine prefers the lowest index among equal
-  // maxima — the globally-first maximum is necessarily its partition's
-  // winner. That freedom lets this backend run TWO independent
-  // (best, index) register pairs (eight candidates per iteration) to hide
-  // the cmp->blend dependency latency that made a single 4-lane chain slower
-  // than the branchy scalar scan.
-  if (n < 8) {
-    Peak peak;
-    peak.value = x[0];
-    peak.index = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (x[i] > peak.value) {
-        peak.value = x[i];
-        peak.index = i;
-      }
-    }
-    return peak;
+void ForwardPackAvx2(const double* x, std::size_t count, std::size_t h,
+                     double* z_re, double* z_im) {
+  std::size_t j = 0;
+  // Eight samples per iteration: unpacklo/hi split even from odd lanes
+  // ([x0 x4 x2 x6], [x1 x5 x3 x7]), and the 0xD8 permute restores order.
+  for (; 2 * j + 8 <= count; j += 4) {
+    const __m256d a = _mm256_loadu_pd(x + 2 * j);
+    const __m256d b = _mm256_loadu_pd(x + 2 * j + 4);
+    _mm256_storeu_pd(z_re + j,
+                     _mm256_permute4x64_pd(_mm256_unpacklo_pd(a, b), 0xD8));
+    _mm256_storeu_pd(z_im + j,
+                     _mm256_permute4x64_pd(_mm256_unpackhi_pd(a, b), 0xD8));
   }
+  for (; 2 * j < count; ++j) {
+    z_re[j] = x[2 * j];
+    z_im[j] = 2 * j + 1 < count ? x[2 * j + 1] : 0.0;
+  }
+  const __m256d zero = _mm256_setzero_pd();
+  for (; j + 4 <= h; j += 4) {
+    _mm256_storeu_pd(z_re + j, zero);
+    _mm256_storeu_pd(z_im + j, zero);
+  }
+  for (; j < h; ++j) {
+    z_re[j] = 0.0;
+    z_im[j] = 0.0;
+  }
+}
 
-  __m256d vbest0 = _mm256_loadu_pd(x);
-  __m256d vbest1 = _mm256_loadu_pd(x + 4);
-  __m256i vidx0 = _mm256_set_epi64x(3, 2, 1, 0);
-  __m256i vidx1 = _mm256_set_epi64x(7, 6, 5, 4);
-  __m256i viter0 = _mm256_set_epi64x(11, 10, 9, 8);
-  __m256i viter1 = _mm256_set_epi64x(15, 14, 13, 12);
-  const __m256i vstep = _mm256_set1_epi64x(8);
-  std::size_t i = 8;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d v0 = _mm256_loadu_pd(x + i);
-    const __m256d v1 = _mm256_loadu_pd(x + i + 4);
-    const __m256d gt0 = _mm256_cmp_pd(v0, vbest0, _CMP_GT_OQ);
-    const __m256d gt1 = _mm256_cmp_pd(v1, vbest1, _CMP_GT_OQ);
-    vbest0 = _mm256_blendv_pd(vbest0, v0, gt0);
-    vbest1 = _mm256_blendv_pd(vbest1, v1, gt1);
-    vidx0 = _mm256_castpd_si256(_mm256_blendv_pd(
-        _mm256_castsi256_pd(vidx0), _mm256_castsi256_pd(viter0), gt0));
-    vidx1 = _mm256_castpd_si256(_mm256_blendv_pd(
-        _mm256_castsi256_pd(vidx1), _mm256_castsi256_pd(viter1), gt1));
-    viter0 = _mm256_add_epi64(viter0, vstep);
-    viter1 = _mm256_add_epi64(viter1, vstep);
+// Scalar twin of one forward-unpack bin: the identical source to the scalar
+// backend's ForwardBin, used for the tail.
+inline void ForwardBin(double zr, double zi, double mr, double mi, double wr,
+                       double wi, double* xr, double* xi) {
+  const double cmr = mr;
+  const double cmi = -mi;
+  const double er = (zr + cmr) * 0.5;
+  const double ei = (zi + cmi) * 0.5;
+  const double dr = zr - cmr;
+  const double di = zi - cmi;
+  const double odr = 0.0 * dr - (-0.5) * di;
+  const double odi = 0.0 * di + (-0.5) * dr;
+  *xr = er + (wr * odr - wi * odi);
+  *xi = ei + (wr * odi + wi * odr);
+}
+
+void ForwardUnpackAvx2(const double* t_re, const double* t_im,
+                       const double* tw_re, const double* tw_im,
+                       std::size_t h, double* out_re, double* out_im) {
+  out_re[0] = t_re[0] + t_im[0];
+  out_im[0] = 0.0;
+  out_re[h] = t_re[0] - t_im[0];
+  out_im[h] = 0.0;
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d zero = _mm256_setzero_pd();
+  std::size_t k = 1;
+  // ForwardBin on four lanes with the conjugation and the -0.5 folded into
+  // the signs of the adds, exactly: x + (-y) is x - y, x - (-y) is x + y and
+  // (-0.5)·d is -(0.5·d).
+  for (; k + 4 <= h; k += 4) {
+    const __m256d zr = _mm256_loadu_pd(t_re + k);
+    const __m256d zi = _mm256_loadu_pd(t_im + k);
+    const __m256d mr = Reverse(_mm256_loadu_pd(t_re + h - k - 3));
+    const __m256d mi = Reverse(_mm256_loadu_pd(t_im + h - k - 3));
+    const __m256d er = _mm256_mul_pd(_mm256_add_pd(zr, mr), half);
+    const __m256d ei = _mm256_mul_pd(_mm256_sub_pd(zi, mi), half);
+    const __m256d dr = _mm256_sub_pd(zr, mr);
+    const __m256d di = _mm256_add_pd(zi, mi);
+    const __m256d odr =
+        _mm256_add_pd(_mm256_mul_pd(zero, dr), _mm256_mul_pd(half, di));
+    const __m256d odi =
+        _mm256_sub_pd(_mm256_mul_pd(zero, di), _mm256_mul_pd(half, dr));
+    const __m256d wr = _mm256_loadu_pd(tw_re + k);
+    const __m256d wi = _mm256_loadu_pd(tw_im + k);
+    _mm256_storeu_pd(
+        out_re + k,
+        _mm256_add_pd(er, _mm256_sub_pd(_mm256_mul_pd(wr, odr),
+                                        _mm256_mul_pd(wi, odi))));
+    _mm256_storeu_pd(
+        out_im + k,
+        _mm256_add_pd(ei, _mm256_add_pd(_mm256_mul_pd(wr, odi),
+                                        _mm256_mul_pd(wi, odr))));
   }
-  alignas(32) double bv[8];
-  alignas(32) std::int64_t bi[8];
-  _mm256_store_pd(bv, vbest0);
-  _mm256_store_pd(bv + 4, vbest1);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(bi), vidx0);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(bi + 4), vidx1);
+  for (; k < h; ++k) {
+    ForwardBin(t_re[k], t_im[k], t_re[h - k], t_im[h - k], tw_re[k], tw_im[k],
+               out_re + k, out_im + k);
+  }
+}
+
+// acc folded with the max of p[lo, hi). Max is exact and idempotent, so the
+// last block may overlap the one before it, and the four independent chains
+// hide the max latency.
+inline __m256d RangeMax(const double* p, std::size_t lo, std::size_t hi,
+                        __m256d acc) {
+  if (hi - lo < 4) {
+    for (std::size_t j = lo; j < hi; ++j) {
+      acc = _mm256_max_pd(acc, _mm256_set1_pd(p[j]));
+    }
+    return acc;
+  }
+  __m256d a1 = acc, a2 = acc, a3 = acc;
+  std::size_t j = lo;
+  for (; j + 16 <= hi; j += 16) {
+    acc = _mm256_max_pd(acc, _mm256_loadu_pd(p + j));
+    a1 = _mm256_max_pd(a1, _mm256_loadu_pd(p + j + 4));
+    a2 = _mm256_max_pd(a2, _mm256_loadu_pd(p + j + 8));
+    a3 = _mm256_max_pd(a3, _mm256_loadu_pd(p + j + 12));
+  }
+  for (; j + 4 <= hi; j += 4) acc = _mm256_max_pd(acc, _mm256_loadu_pd(p + j));
+  if (j < hi) a1 = _mm256_max_pd(a1, _mm256_loadu_pd(p + hi - 4));
+  return _mm256_max_pd(_mm256_max_pd(acc, a1), _mm256_max_pd(a2, a3));
+}
+
+inline double HorizontalMax(__m256d v) {
+  const __m128d m =
+      _mm_max_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
+  return _mm_cvtsd_f64(_mm_max_sd(m, _mm_unpackhi_pd(m, m)));
+}
+
+Peak PeakScanAvx2(const double* x, std::size_t n) {
+  // Max, then the first index equal to it: the strict-greater scan's peak,
+  // with no dependent compare-and-blend chain.
+  const double best =
+      HorizontalMax(RangeMax(x, 0, n, _mm256_set1_pd(x[0])));
+  const __m256d target = _mm256_set1_pd(best);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const int mask = _mm256_movemask_pd(
+        _mm256_cmp_pd(_mm256_loadu_pd(x + i), target, _CMP_EQ_OQ));
+    if (mask != 0) {
+      i += static_cast<std::size_t>(__builtin_ctz(mask));
+      return Peak{x[i], i};
+    }
+  }
   for (; i < n; ++i) {
-    const std::size_t l = i & 7;
-    if (x[i] > bv[l]) {
-      bv[l] = x[i];
-      bi[l] = static_cast<std::int64_t>(i);
+    if (x[i] == best) return Peak{x[i], i};
+  }
+  return Peak{x[0], 0};  // Unreachable for NaN-free input.
+}
+
+// Bits 0..3 of b moved to bits 0, 2, 4, 6.
+inline unsigned SpreadEven(unsigned b) {
+  b = (b | (b << 2)) & 0x33u;
+  return (b | (b << 1)) & 0x55u;
+}
+
+// The first index in [lo, hi) of the interleaving time[2j] = re[j],
+// time[2j+1] = im[j] whose scaled value time·scale equals target, or hi.
+inline std::size_t FirstScaledMatch(const double* re, const double* im,
+                                    std::size_t lo, std::size_t hi,
+                                    double scale, double target) {
+  const auto at = [&](std::size_t i) {
+    return ((i & 1) != 0 ? im[i / 2] : re[i / 2]) * scale;
+  };
+  std::size_t i = lo;
+  if (i < hi && (i & 1) != 0) {
+    if (at(i) == target) return i;
+    ++i;
+  }
+  const __m256d vs = _mm256_set1_pd(scale);
+  const __m256d vt = _mm256_set1_pd(target);
+  // Eight time indices per iteration: four re lanes (even) and four im
+  // lanes (odd), their match bits interleaved back into time order.
+  for (; i + 8 <= hi; i += 8) {
+    const std::size_t j = i / 2;
+    const unsigned mr = static_cast<unsigned>(_mm256_movemask_pd(_mm256_cmp_pd(
+        _mm256_mul_pd(_mm256_loadu_pd(re + j), vs), vt, _CMP_EQ_OQ)));
+    const unsigned mi = static_cast<unsigned>(_mm256_movemask_pd(_mm256_cmp_pd(
+        _mm256_mul_pd(_mm256_loadu_pd(im + j), vs), vt, _CMP_EQ_OQ)));
+    if ((mr | mi) != 0) {
+      return i + static_cast<std::size_t>(
+                     __builtin_ctz(SpreadEven(mr) | (SpreadEven(mi) << 1)));
     }
   }
-  Peak peak;
-  peak.value = bv[0];
-  peak.index = static_cast<std::size_t>(bi[0]);
-  for (std::size_t l = 1; l < 8; ++l) {
-    const std::size_t idx = static_cast<std::size_t>(bi[l]);
-    if (bv[l] > peak.value || (bv[l] == peak.value && idx < peak.index)) {
-      peak.value = bv[l];
-      peak.index = idx;
-    }
+  for (; i < hi; ++i) {
+    if (at(i) == target) return i;
   }
-  return peak;
+  return hi;
+}
+
+Peak LagPeakAvx2(const double* t_re, const double* t_im, std::size_t h,
+                 std::size_t m, double scale) {
+  const std::size_t n = 2 * h;
+  const std::size_t a0 = n - (m - 1);  // Time index of cc[0], lag -(m-1).
+  const auto at = [&](std::size_t i) {
+    return ((i & 1) != 0 ? t_im[i / 2] : t_re[i / 2]) * scale;
+  };
+  __m256d acc = _mm256_set1_pd(t_re[0]);
+  acc = RangeMax(t_re, 0, (m + 1) / 2, acc);
+  acc = RangeMax(t_im, 0, m / 2, acc);
+  acc = RangeMax(t_re, (a0 + 1) / 2, h, acc);
+  acc = RangeMax(t_im, a0 / 2, h, acc);
+  const double target = HorizontalMax(acc) * scale;
+  std::size_t i = FirstScaledMatch(t_re, t_im, a0, n, scale, target);
+  if (i < n) return Peak{at(i), i - a0};
+  i = FirstScaledMatch(t_re, t_im, 0, m, scale, target);
+  if (i < m) return Peak{at(i), m - 1 + i};
+  return Peak{t_re[0] * scale, m - 1};  // Unreachable for NaN-free input.
 }
 
 void AxpyAvx2(double a, const double* x, double* y, std::size_t n) {
@@ -415,6 +555,22 @@ void DtwRowAvx2(const double* prev_jm1, const double* y_jm1, double xi,
     const double best = e < left ? e : left;
     left = d * d + best;
     cur[t] = left;
+  }
+}
+
+void MagnitudesAvx2(const double* re, const double* im, std::size_t n,
+                    double w, double* out) {
+  const __m256d vw = _mm256_set1_pd(w);
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const __m256d r = _mm256_loadu_pd(re + k);
+    const __m256d i = _mm256_loadu_pd(im + k);
+    const __m256d e =
+        _mm256_add_pd(_mm256_mul_pd(r, r), _mm256_mul_pd(i, i));
+    _mm256_storeu_pd(out + k, _mm256_sqrt_pd(_mm256_mul_pd(vw, e)));
+  }
+  for (; k < n; ++k) {
+    out[k] = std::sqrt(w * (re[k] * re[k] + im[k] * im[k]));
   }
 }
 
@@ -579,11 +735,15 @@ const KernelTable* Avx2Kernels() {
       LbKeoghSquaredAvx2,
       ComplexMulConjAvx2,
       MulConjUnpackAvx2,
+      ForwardPackAvx2,
+      ForwardUnpackAvx2,
       PeakScanAvx2,
+      LagPeakAvx2,
       AxpyAvx2,
       ScaleAvx2,
       ApplyZNormAvx2,
       DtwRowAvx2,
+      MagnitudesAvx2,
       AbsProductPartialSumsAvx2,
       Radix2TransformAvx2,
       DotAxpyRowsAvx2,

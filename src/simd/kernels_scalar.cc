@@ -9,9 +9,7 @@
 
 #include "simd/kernels.h"
 
-#include <cstdint>
-#include <limits>
-#include <vector>
+#include <cmath>
 
 namespace kshape::simd {
 
@@ -212,50 +210,137 @@ void MulConjUnpackScalar(const double* x_re, const double* x_im,
     return product ? x_im[k] * y_re[k] - x_re[k] * y_im[k] : x_im[k];
   };
   UnpackBin(bin_re(0), 0.0, bin_re(h), 0.0, tw_re[0], tw_im[0], z_re, z_im);
-  for (std::size_t k = 1; k < h; ++k) {
-    UnpackBin(bin_re(k), bin_im(k), bin_re(h - k), bin_im(h - k), tw_re[k],
-              tw_im[k], z_re + k, z_im + k);
+  // Mirror pairs (k, h-k): each product is formed once and feeds both
+  // outputs.
+  for (std::size_t k = 1; 2 * k <= h; ++k) {
+    const std::size_t mk = h - k;
+    const double cr = bin_re(k), ci = bin_im(k);
+    if (mk == k) {
+      UnpackBin(cr, ci, cr, ci, tw_re[k], tw_im[k], z_re + k, z_im + k);
+      continue;
+    }
+    const double mr = bin_re(mk), mi = bin_im(mk);
+    UnpackBin(cr, ci, mr, mi, tw_re[k], tw_im[k], z_re + k, z_im + k);
+    UnpackBin(mr, mi, cr, ci, tw_re[mk], tw_im[mk], z_re + mk, z_im + mk);
   }
 }
 
-Peak PeakScanScalar(const double* x, std::size_t n) {
-  // Lane l starts from its first element x[l] (index l) and keeps the lowest
-  // index of its lane maximum under a strict-greater scan; lanes past the end
-  // of a short input can never win the combine.
-  double bv[4];
-  std::size_t bi[4];
-  const std::size_t lead = n < 4 ? n : 4;
-  for (std::size_t l = 0; l < 4; ++l) {
-    bv[l] = l < lead ? x[l] : -std::numeric_limits<double>::infinity();
-    bi[l] = l < lead ? l : std::numeric_limits<std::size_t>::max();
+void ForwardPackScalar(const double* x, std::size_t count, std::size_t h,
+                       double* z_re, double* z_im) {
+  for (std::size_t j = 0; j < h; ++j) {
+    z_re[j] = 2 * j < count ? x[2 * j] : 0.0;
+    z_im[j] = 2 * j + 1 < count ? x[2 * j + 1] : 0.0;
   }
-  std::size_t i = 4;
-  for (; i + 4 <= n; i += 4) {
+}
+
+// One bin of the packed real-forward unpack (the forward_unpack contract):
+// zk = (zr, zi), zmk = conj(Z[h-k]) = (mr, -mi), w = (wr, wi), spelled as
+// the std::complex operation sequence, 0·d terms included.
+inline void ForwardBin(double zr, double zi, double mr, double mi, double wr,
+                       double wi, double* xr, double* xi) {
+  const double cmr = mr;
+  const double cmi = -mi;
+  const double er = (zr + cmr) * 0.5;
+  const double ei = (zi + cmi) * 0.5;
+  const double dr = zr - cmr;
+  const double di = zi - cmi;
+  const double odr = 0.0 * dr - (-0.5) * di;
+  const double odi = 0.0 * di + (-0.5) * dr;
+  *xr = er + (wr * odr - wi * odi);
+  *xi = ei + (wr * odi + wi * odr);
+}
+
+void ForwardUnpackScalar(const double* t_re, const double* t_im,
+                         const double* tw_re, const double* tw_im,
+                         std::size_t h, double* out_re, double* out_im) {
+  out_re[0] = t_re[0] + t_im[0];
+  out_im[0] = 0.0;
+  out_re[h] = t_re[0] - t_im[0];
+  out_im[h] = 0.0;
+  for (std::size_t k = 1; k < h; ++k) {
+    ForwardBin(t_re[k], t_im[k], t_re[h - k], t_im[h - k], tw_re[k], tw_im[k],
+               out_re + k, out_im + k);
+  }
+}
+
+// best folded with the max of p[lo, hi). Max is exact, so the four
+// independent chains (which hide the compare latency) give the value of a
+// sequential fold.
+inline double RangeMax(const double* p, std::size_t lo, std::size_t hi,
+                       double best) {
+  double b[4] = {best, best, best, best};
+  std::size_t j = lo;
+  for (; j + 4 <= hi; j += 4) {
     for (std::size_t l = 0; l < 4; ++l) {
-      if (x[i + l] > bv[l]) {
-        bv[l] = x[i + l];
-        bi[l] = i + l;
-      }
+      b[l] = p[j + l] > b[l] ? p[j + l] : b[l];
     }
   }
-  for (; i < n; ++i) {
-    const std::size_t l = i & 3;
-    if (x[i] > bv[l]) {
-      bv[l] = x[i];
-      bi[l] = i;
+  for (; j < hi; ++j) b[0] = p[j] > b[0] ? p[j] : b[0];
+  const double b01 = b[1] > b[0] ? b[1] : b[0];
+  const double b23 = b[3] > b[2] ? b[3] : b[2];
+  return b23 > b01 ? b23 : b01;
+}
+
+Peak PeakScanScalar(const double* x, std::size_t n) {
+  // Max, then the first index equal to it: the strict-greater scan's peak.
+  const double best = RangeMax(x, 0, n, x[0]);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (x[i] == best) return Peak{x[i], i};
+  }
+  return Peak{x[0], 0};  // Unreachable for NaN-free input.
+}
+
+// The first index in [lo, hi) of the interleaving time[2j] = re[j],
+// time[2j+1] = im[j] whose scaled value time·scale equals target, or hi;
+// *value receives that scaled value.
+inline std::size_t FirstScaledMatch(const double* re, const double* im,
+                                    std::size_t lo, std::size_t hi,
+                                    double scale, double target,
+                                    double* value) {
+  std::size_t i = lo;
+  if (i < hi && (i & 1) != 0) {
+    *value = im[i / 2] * scale;
+    if (*value == target) return i;
+    ++i;
+  }
+  for (; i + 2 <= hi; i += 2) {
+    const double r = re[i / 2] * scale;
+    const double q = im[i / 2] * scale;
+    if (r == target) {
+      *value = r;
+      return i;
+    }
+    if (q == target) {
+      *value = q;
+      return i + 1;
     }
   }
-  Peak peak;
-  peak.value = bv[0];
-  peak.index = bi[0];
-  for (std::size_t l = 1; l < 4; ++l) {
-    if (bv[l] > peak.value ||
-        (bv[l] == peak.value && bi[l] < peak.index)) {
-      peak.value = bv[l];
-      peak.index = bi[l];
-    }
+  if (i < hi) {
+    *value = re[i / 2] * scale;
+    if (*value == target) return i;
   }
-  return peak;
+  return hi;
+}
+
+Peak LagPeakScalar(const double* t_re, const double* t_im, std::size_t h,
+                   std::size_t m, double scale) {
+  const std::size_t n = 2 * h;
+  const std::size_t a0 = n - (m - 1);  // Time index of cc[0], lag -(m-1).
+  // Max pass over the raw valid values: time [0, m) and [a0, n), i.e. four
+  // plane ranges.
+  double best = t_re[0];
+  best = RangeMax(t_re, 0, (m + 1) / 2, best);
+  best = RangeMax(t_im, 0, m / 2, best);
+  best = RangeMax(t_re, (a0 + 1) / 2, h, best);
+  best = RangeMax(t_im, a0 / 2, h, best);
+  const double target = best * scale;
+  // Search pass in cc order: the negative lags, then lags 0..m-1.
+  double value = 0.0;
+  std::size_t i = FirstScaledMatch(t_re, t_im, a0, n, scale, target, &value);
+  if (i < n) return Peak{value, i - a0};
+  i = FirstScaledMatch(t_re, t_im, 0, m, scale, target, &value);
+  if (i < m) return Peak{value, m - 1 + i};
+  return Peak{t_re[0] * scale, m - 1};  // Unreachable for NaN-free input.
 }
 
 void AxpyScalar(double a, const double* x, double* y, std::size_t n) {
@@ -284,6 +369,13 @@ void DtwRowScalar(const double* prev_jm1, const double* y_jm1, double xi,
     const double best = e < left ? e : left;
     left = d * d + best;
     cur[t] = left;
+  }
+}
+
+void MagnitudesScalar(const double* re, const double* im, std::size_t n,
+                      double w, double* out) {
+  for (std::size_t k = 0; k < n; ++k) {
+    out[k] = std::sqrt(w * (re[k] * re[k] + im[k] * im[k]));
   }
 }
 
@@ -431,11 +523,15 @@ const KernelTable& ScalarKernels() {
       LbKeoghSquaredScalar,
       ComplexMulConjScalar,
       MulConjUnpackScalar,
+      ForwardPackScalar,
+      ForwardUnpackScalar,
       PeakScanScalar,
+      LagPeakScalar,
       AxpyScalar,
       ScaleScalar,
       ApplyZNormScalar,
       DtwRowScalar,
+      MagnitudesScalar,
       AbsProductPartialSumsScalar,
       Radix2TransformScalar,
       DotAxpyRowsScalar,

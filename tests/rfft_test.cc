@@ -826,6 +826,95 @@ ClassicPeak ClassicDistance(const std::vector<double>& x,
           static_cast<int>(best) - static_cast<int>(m - 1)};
 }
 
+TEST(ClassicOracleTest, FusedPeakMatchesClassicLagsAndSequentialScan) {
+  // The engine's per-pair peak, read off the inverse planes with no lag
+  // buffer, against the classic lag buffers summed lag by lag in channel
+  // order and a sequential strict-greater scan: value bits and index, at
+  // C = 1 and C = 2 and every power of two in [2, 4096]. Each length runs a
+  // random pair and a shifted copy (a peak near a nonzero lag); the engine
+  // itself runs at m = n/2, the largest m whose SBD length is n.
+  HalfSpectrumGuard guard;
+  for (const simd::Backend backend : OracleBackends()) {
+    simd::SetBackendForTesting(backend);
+    for (std::size_t n = 2; n <= 4096; n <<= 1) {
+      const RfftPlan& plan = GetRfftPlan(n);
+      for (const std::size_t m : {std::size_t{1}, n / 4 + 1, n / 2}) {
+        for (const std::size_t channels : {1u, 2u}) {
+          common::Rng rng(n * 11 + m * 3 + channels);
+          const std::string where =
+              "C=" + std::to_string(channels) + " n=" + std::to_string(n) +
+              " m=" + std::to_string(m);
+          std::vector<double> x = RandomRealVector(channels * m, &rng);
+          std::vector<double> shifted(channels * m, 0.0);
+          for (std::size_t c = 0; c < channels; ++c) {
+            for (std::size_t t = m / 3; t < m; ++t) {
+              shifted[c * m + t] = x[c * m + t - m / 3];
+            }
+          }
+          for (const std::vector<double>& y :
+               {RandomRealVector(channels * m, &rng), shifted}) {
+            std::vector<RfftSpectrum> sx, sy;
+            std::vector<RfftView> vx, vy;
+            std::vector<double> total;
+            for (std::size_t c = 0; c < channels; ++c) {
+              sx.push_back(classic::RfftForward(
+                  std::vector<double>(x.begin() + c * m,
+                                      x.begin() + (c + 1) * m),
+                  n));
+              sy.push_back(classic::RfftForward(
+                  std::vector<double>(y.begin() + c * m,
+                                      y.begin() + (c + 1) * m),
+                  n));
+              const std::vector<double> cc = classic::CrossCorrelationFromRfft(
+                  sx.back().view(), sy.back().view(), m);
+              if (c == 0) {
+                total = cc;
+              } else {
+                for (std::size_t t = 0; t < total.size(); ++t) {
+                  total[t] += cc[t];
+                }
+              }
+            }
+            for (std::size_t c = 0; c < channels; ++c) {
+              vx.push_back(sx[c].view());
+              vy.push_back(sy[c].view());
+            }
+            std::size_t best = 0;
+            for (std::size_t t = 1; t < total.size(); ++t) {
+              if (total[t] > total[best]) best = t;
+            }
+            const simd::Peak got =
+                CrossCorrelationPeakFromRfft(plan, vx, vy, m);
+            EXPECT_EQ(got.index, best) << where;
+            EXPECT_EQ(std::memcmp(&got.value, &total[best], sizeof(double)),
+                      0)
+                << where;
+
+            if (m != n / 2 || n < 4) continue;
+            const std::vector<std::vector<double>> rows = {x, y};
+            const core::SbdEngine engine(rows,
+                                         core::CrossCorrelationImpl::kFft,
+                                         /*half_spectrum=*/true,
+                                         /*build_bound_planes=*/false,
+                                         channels);
+            ASSERT_EQ(engine.fft_length(), n) << where;
+            const ClassicPeak want =
+                ClassicDistance(x, y, m, channels, n, /*half=*/true);
+            const double d = engine.Distance(0, 1);
+            EXPECT_EQ(std::memcmp(&d, &want.distance, sizeof(double)), 0)
+                << where;
+            int shift = 0;
+            const double dq = engine.Distance(engine.MakeQuery(x), 1, &shift);
+            EXPECT_EQ(std::memcmp(&dq, &want.distance, sizeof(double)), 0)
+                << where;
+            EXPECT_EQ(shift, want.shift) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(ClassicOracleTest, SbdEngineMatchesClassicAtOneAndTwoChannels) {
   HalfSpectrumGuard guard;
   for (const simd::Backend backend : OracleBackends()) {

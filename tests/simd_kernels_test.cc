@@ -21,6 +21,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -129,6 +130,170 @@ class HalfSpectrumGateGuard {
  private:
   bool saved_;
 };
+
+// Bitwise equality of two peaks: the index, and the value by memcmp (so a
+// -0.0 peak never passes for +0.0).
+bool PeakBitEqual(const simd::Peak& a, const simd::Peak& b) {
+  return a.index == b.index &&
+         std::memcmp(&a.value, &b.value, sizeof(double)) == 0;
+}
+
+// The legacy lag buffer of a half-size inverse: fft/rfft.cc's
+// InterleaveScaled over the m-1 negative lags (the top of the circular
+// sequence time[2j] = re[j], time[2j+1] = im[j], n = 2h) and then lags
+// 0..m-1, each value time·scale.
+std::vector<double> InterleaveScaledLags(const std::vector<double>& re,
+                                         const std::vector<double>& im,
+                                         std::size_t m, double scale) {
+  const std::size_t n = 2 * re.size();
+  const auto time = [&](std::size_t t) {
+    return (t % 2 == 1 ? im[t / 2] : re[t / 2]) * scale;
+  };
+  std::vector<double> cc;
+  for (std::size_t t = n - (m - 1); t < n; ++t) cc.push_back(time(t));
+  for (std::size_t t = 0; t < m; ++t) cc.push_back(time(t));
+  return cc;
+}
+
+// The sequential strict-greater scan every peak kernel must reproduce.
+simd::Peak SequentialPeak(const std::vector<double>& x) {
+  simd::Peak peak{x[0], 0};
+  for (std::size_t i = 1; i < x.size(); ++i) {
+    if (x[i] > peak.value) peak = simd::Peak{x[i], i};
+  }
+  return peak;
+}
+
+// Half-size inverse planes (h values each) whose lag peak at this m is
+// hard to get right: random values; a maximum planted in the unused gap
+// [m, n-m+1), which must not win; a tie across the negative/non-negative
+// lag boundary (lags -1 and 0) and one between the outermost lags; ±0
+// ties on negative data, where the value must come from the winning
+// element; all-equal planes; and ±inf.
+struct PlaneCase {
+  const char* what;
+  std::vector<double> re, im;
+};
+std::vector<PlaneCase> LagPeakCases(std::size_t h, std::size_t m,
+                                    common::Rng* rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t n = 2 * h;
+  // The time index of cc position i (lag i - (m-1)).
+  const auto time_of = [&](std::size_t i) {
+    return i < m - 1 ? n - (m - 1) + i : i - (m - 1);
+  };
+  const std::size_t lags = 2 * m - 1;
+  std::vector<PlaneCase> cases;
+  const auto add = [&](const char* what, double lo, double hi) -> PlaneCase& {
+    cases.push_back({what, RandomBuffer(h, rng, lo, hi),
+                     RandomBuffer(h, rng, lo, hi)});
+    return cases.back();
+  };
+  const auto set = [&](PlaneCase& c, std::size_t t, double v) {
+    (t % 2 == 1 ? c.im : c.re)[t / 2] = v;
+  };
+  add("random", -2.0, 2.0);
+  {
+    PlaneCase& c = add("gap max", -2.0, 2.0);
+    for (std::size_t t = m; t < n - (m - 1); ++t) set(c, t, 100.0);
+  }
+  {
+    PlaneCase& c = add("boundary tie", -2.0, 2.0);
+    set(c, time_of(m - 1), 50.0);             // Lag 0.
+    if (m > 1) set(c, time_of(m - 2), 50.0);  // Lag -1: wins.
+  }
+  {
+    PlaneCase& c = add("outer tie", -2.0, 2.0);
+    set(c, time_of(lags - 1), 50.0);  // Lag m-1.
+    set(c, time_of(0), 50.0);         // Lag -(m-1): wins.
+  }
+  {
+    PlaneCase& c = add("-0 before +0", -2.0, -1.0);
+    set(c, time_of(lags / 3), -0.0);
+    set(c, time_of(lags - 1), 0.0);
+  }
+  {
+    PlaneCase& c = add("+0 before -0", -2.0, -1.0);
+    set(c, time_of(lags / 2), 0.0);
+    set(c, time_of(lags - 1), -0.0);
+  }
+  {
+    PlaneCase& c = add("all -0", 0.0, 0.0);
+    std::fill(c.re.begin(), c.re.end(), -0.0);
+    std::fill(c.im.begin(), c.im.end(), -0.0);
+    set(c, time_of(lags - 1), 0.0);
+  }
+  {
+    PlaneCase& c = add("all equal", 0.0, 0.0);
+    std::fill(c.re.begin(), c.re.end(), 0.75);
+    std::fill(c.im.begin(), c.im.end(), 0.75);
+  }
+  {
+    PlaneCase& c = add("+inf", -2.0, 2.0);
+    set(c, time_of(lags / 2), kInf);
+    set(c, time_of(lags - 1), kInf);
+    set(c, time_of(0), -kInf);
+    for (std::size_t t = m; t < n - (m - 1); ++t) set(c, t, kInf);
+  }
+  {
+    PlaneCase& c = add("all -inf", 0.0, 0.0);
+    std::fill(c.re.begin(), c.re.end(), -kInf);
+    std::fill(c.im.begin(), c.im.end(), -kInf);
+  }
+  return cases;
+}
+
+// The m values the lag-peak tests cover at half size h: every m <= 9 and
+// the odd and even m next to h/2 and h (the largest, 2m-1 = n-1).
+std::vector<std::size_t> LagPeakMs(std::size_t h) {
+  std::vector<std::size_t> ms;
+  for (std::size_t m = 1; m <= std::min<std::size_t>(h, 9); ++m) {
+    ms.push_back(m);
+  }
+  for (const std::size_t m : {h / 2, h / 2 + 1, h - 1, h}) {
+    if (m > 9 && m <= h) ms.push_back(m);
+  }
+  return ms;
+}
+
+// The std::complex packed real-forward unpack the forward_unpack kernel
+// replaced (RfftPlan::Forward's former loop): bins 0..h of the n = 2h
+// real input from the h-point DFT (t_re, t_im) of its even/odd packing.
+void StdComplexForwardUnpack(const std::vector<double>& t_re,
+                             const std::vector<double>& t_im,
+                             const std::vector<double>& tw_re,
+                             const std::vector<double>& tw_im,
+                             std::vector<double>* out_re,
+                             std::vector<double>* out_im) {
+  using Complex = std::complex<double>;
+  const std::size_t h = t_re.size();
+  out_re->assign(h + 1, 0.0);
+  out_im->assign(h + 1, 0.0);
+  (*out_re)[0] = t_re[0] + t_im[0];
+  (*out_re)[h] = t_re[0] - t_im[0];
+  for (std::size_t k = 1; k < h; ++k) {
+    const Complex zk(t_re[k], t_im[k]);
+    const Complex zmk = std::conj(Complex(t_re[h - k], t_im[h - k]));
+    const Complex even = 0.5 * (zk + zmk);
+    const Complex odd = Complex(0, -0.5) * (zk - zmk);
+    const Complex bin = even + Complex(tw_re[k], tw_im[k]) * odd;
+    (*out_re)[k] = bin.real();
+    (*out_im)[k] = bin.imag();
+  }
+}
+
+// The forward unpack twiddles e^{-2πik/n}, n = 2h, k in [0, h].
+void ForwardTwiddles(std::size_t h, std::vector<double>* tw_re,
+                     std::vector<double>* tw_im) {
+  tw_re->resize(h + 1);
+  tw_im->resize(h + 1);
+  for (std::size_t k = 0; k <= h; ++k) {
+    const double angle = -3.14159265358979323846 * static_cast<double>(k) /
+                         static_cast<double>(h);
+    (*tw_re)[k] = std::cos(angle);
+    (*tw_im)[k] = std::sin(angle);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // 1. Bit-identity between backends, all lengths 1..67.
@@ -291,6 +456,70 @@ TEST_F(BitIdentityTest, PeakScanTiesKeepLowestIndex) {
         EXPECT_EQ(v.index, s.index)
             << "n=" << n << " first=" << first << " second=" << second;
       }
+    }
+  }
+}
+
+TEST_F(BitIdentityTest, LagPeak) {
+  // Every len = 2^p in [2, 4096], odd and even m down to 1, at the packed
+  // inverse's scale 1/h and at the channel sum's scale 1.
+  common::Rng rng(110);
+  for (std::size_t h = 1; h <= 2048; h <<= 1) {
+    for (const std::size_t m : LagPeakMs(h)) {
+      for (const PlaneCase& c : LagPeakCases(h, m, &rng)) {
+        for (const double scale : {1.0 / static_cast<double>(h), 1.0}) {
+          const simd::Peak s =
+              scalar_.lag_peak(c.re.data(), c.im.data(), h, m, scale);
+          const simd::Peak v =
+              avx2_.lag_peak(c.re.data(), c.im.data(), h, m, scale);
+          EXPECT_TRUE(PeakBitEqual(s, v))
+              << c.what << " len=" << 2 * h << " m=" << m
+              << " scale=" << scale;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(BitIdentityTest, ForwardPackAndUnpack) {
+  // Every h up to kMaxLength and every sample count up to 2h (the zero pad),
+  // then the unpack's vector body, mirrored loads and scalar tail.
+  common::Rng rng(111);
+  for (std::size_t h = 1; h <= kMaxLength; ++h) {
+    for (std::size_t count = 0; count <= 2 * h; ++count) {
+      const std::vector<double> x = RandomBuffer(count, &rng);
+      std::vector<double> re_s(h, 1.0), im_s(h, 1.0);
+      std::vector<double> re_v(h, 123.0), im_v(h, 123.0);  // Other garbage.
+      scalar_.forward_pack(x.data(), count, h, re_s.data(), im_s.data());
+      avx2_.forward_pack(x.data(), count, h, re_v.data(), im_v.data());
+      EXPECT_TRUE(BitEqual(re_s, re_v)) << "h=" << h << " count=" << count;
+      EXPECT_TRUE(BitEqual(im_s, im_v)) << "h=" << h << " count=" << count;
+    }
+    const std::vector<double> t_re = RandomBuffer(h, &rng);
+    const std::vector<double> t_im = RandomBuffer(h, &rng);
+    std::vector<double> tw_re, tw_im;
+    ForwardTwiddles(h, &tw_re, &tw_im);
+    std::vector<double> re_s(h + 1, 1.0), im_s(h + 1, 1.0);
+    std::vector<double> re_v(h + 1, 123.0), im_v(h + 1, 123.0);
+    scalar_.forward_unpack(t_re.data(), t_im.data(), tw_re.data(),
+                           tw_im.data(), h, re_s.data(), im_s.data());
+    avx2_.forward_unpack(t_re.data(), t_im.data(), tw_re.data(), tw_im.data(),
+                         h, re_v.data(), im_v.data());
+    EXPECT_TRUE(BitEqual(re_s, re_v)) << "h=" << h;
+    EXPECT_TRUE(BitEqual(im_s, im_v)) << "h=" << h;
+  }
+}
+
+TEST_F(BitIdentityTest, Magnitudes) {
+  common::Rng rng(112);
+  for (std::size_t n = 1; n <= kMaxLength; ++n) {
+    const std::vector<double> re = RandomBuffer(n, &rng);
+    const std::vector<double> im = RandomBuffer(n, &rng);
+    for (const double w : {1.0, 2.0}) {
+      std::vector<double> out_s(n, 1.0), out_v(n, 123.0);
+      scalar_.magnitudes(re.data(), im.data(), n, w, out_s.data());
+      avx2_.magnitudes(re.data(), im.data(), n, w, out_v.data());
+      EXPECT_TRUE(BitEqual(out_s, out_v)) << "n=" << n << " w=" << w;
     }
   }
 }
@@ -608,6 +837,116 @@ TEST(LegacyAgreementTest, PeakScanMatchesSequentialScan) {
       const simd::Peak p = kt.peak_scan(x.data(), n);
       EXPECT_EQ(p.value, best) << "n=" << n;
       EXPECT_EQ(p.index, best_i) << "n=" << n;
+    }
+  }
+}
+
+TEST(LegacyAgreementTest, LagPeakMatchesInterleaveScaledThenSequentialScan) {
+  // The lag peak is BY CONTRACT the sequential strict-greater scan of the
+  // lag buffer InterleaveScaled writes, value bits included; peak_scan of
+  // that buffer must agree with it too.
+  common::Rng rng(209);
+  for (const Backend backend : AvailableBackends()) {
+    const KernelTable& kt = simd::Kernels(backend);
+    for (std::size_t h = 1; h <= 2048; h <<= 1) {
+      for (const std::size_t m : LagPeakMs(h)) {
+        for (const PlaneCase& c : LagPeakCases(h, m, &rng)) {
+          for (const double scale : {1.0 / static_cast<double>(h), 1.0}) {
+            const std::vector<double> cc =
+                InterleaveScaledLags(c.re, c.im, m, scale);
+            const simd::Peak want = SequentialPeak(cc);
+            const std::string where = std::string(c.what) +
+                                      " backend=" + kt.name +
+                                      " len=" + std::to_string(2 * h) +
+                                      " m=" + std::to_string(m);
+            EXPECT_TRUE(PeakBitEqual(
+                kt.lag_peak(c.re.data(), c.im.data(), h, m, scale), want))
+                << where;
+            EXPECT_TRUE(PeakBitEqual(kt.peak_scan(cc.data(), cc.size()), want))
+                << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LegacyAgreementTest, ForwardPackAndUnpackMatchStdComplexLoop) {
+  // The pack is RfftPlan::Forward's former even/odd loop with its zero pad;
+  // the unpack is BY CONTRACT its std::complex unpack, zero products
+  // included, so agreement is bitwise.
+  common::Rng rng(210);
+  for (const Backend backend : AvailableBackends()) {
+    const KernelTable& kt = simd::Kernels(backend);
+    std::vector<std::size_t> halves;
+    for (std::size_t h = 1; h <= kMaxLength; ++h) halves.push_back(h);
+    for (std::size_t h = 128; h <= 2048; h <<= 1) halves.push_back(h);
+    for (const std::size_t h : halves) {
+      const std::size_t counts[] = {2 * h, 2 * h - 1, h, h / 2 + 1};
+      for (const std::size_t count : counts) {
+        const std::vector<double> x = RandomBuffer(count, &rng);
+        std::vector<double> want_re(h), want_im(h);
+        for (std::size_t j = 0; j < h; ++j) {
+          want_re[j] = 2 * j < count ? x[2 * j] : 0.0;
+          want_im[j] = 2 * j + 1 < count ? x[2 * j + 1] : 0.0;
+        }
+        std::vector<double> z_re(h, 123.0), z_im(h, 123.0);
+        kt.forward_pack(x.data(), count, h, z_re.data(), z_im.data());
+        EXPECT_TRUE(BitEqual(z_re, want_re))
+            << "backend=" << kt.name << " h=" << h << " count=" << count;
+        EXPECT_TRUE(BitEqual(z_im, want_im))
+            << "backend=" << kt.name << " h=" << h << " count=" << count;
+      }
+      std::vector<double> tw_re, tw_im;
+      ForwardTwiddles(h, &tw_re, &tw_im);
+      // Random planes, then planes of signed zeros: there every output is a
+      // zero whose sign the zero products decide.
+      for (const bool zeros : {false, true}) {
+        std::vector<double> t_re = RandomBuffer(h, &rng);
+        std::vector<double> t_im = RandomBuffer(h, &rng);
+        if (zeros) {
+          for (double& v : t_re) v = v < 0 ? -0.0 : 0.0;
+          for (double& v : t_im) v = v < 0 ? -0.0 : 0.0;
+        }
+        std::vector<double> want_re, want_im;
+        StdComplexForwardUnpack(t_re, t_im, tw_re, tw_im, &want_re, &want_im);
+        std::vector<double> out_re(h + 1, 123.0), out_im(h + 1, 123.0);
+        kt.forward_unpack(t_re.data(), t_im.data(), tw_re.data(),
+                          tw_im.data(), h, out_re.data(), out_im.data());
+        EXPECT_TRUE(BitEqual(out_re, want_re))
+            << "backend=" << kt.name << " h=" << h << " zeros=" << zeros;
+        EXPECT_TRUE(BitEqual(out_im, want_im))
+            << "backend=" << kt.name << " h=" << h << " zeros=" << zeros;
+      }
+    }
+  }
+}
+
+TEST(LegacyAgreementTest, MagnitudesMatchStdSqrt) {
+  // IEEE sqrt is correctly rounded, so the vector sqrt gives std::sqrt's
+  // bits: zeros (of both signs) and tiny and huge energies included.
+  common::Rng rng(211);
+  for (const Backend backend : AvailableBackends()) {
+    const KernelTable& kt = simd::Kernels(backend);
+    for (std::size_t n = 1; n <= kMaxLength; ++n) {
+      std::vector<double> re = RandomBuffer(n, &rng);
+      std::vector<double> im = RandomBuffer(n, &rng);
+      re[0] = -0.0;
+      im[0] = 0.0;
+      if (n > 2) {
+        re[1] *= 1e-160;
+        im[2] *= 1e150;
+      }
+      for (const double w : {1.0, 2.0}) {
+        std::vector<double> want(n);
+        for (std::size_t k = 0; k < n; ++k) {
+          want[k] = std::sqrt(w * (re[k] * re[k] + im[k] * im[k]));
+        }
+        std::vector<double> out(n, 123.0);
+        kt.magnitudes(re.data(), im.data(), n, w, out.data());
+        EXPECT_TRUE(BitEqual(out, want))
+            << "backend=" << kt.name << " n=" << n << " w=" << w;
+      }
     }
   }
 }
