@@ -96,10 +96,6 @@ simd::Peak HalfSpectrumPeak(const fft::RfftPlan& plan, std::size_t channels,
       fft::CrossCorrelationFromRfft(plan, x(c), y(c), m, cc);
     });
   }
-  if (channels == 1) {
-    const fft::RfftView xv = x(0), yv = y(0);
-    return fft::CrossCorrelationPeakFromRfft(plan, {&xv, 1}, {&yv, 1}, m);
-  }
   static thread_local std::vector<fft::RfftView> xs, ys;
   xs.resize(channels);
   ys.resize(channels);

@@ -51,8 +51,9 @@ struct Radix2Tables {
 /// their per-element rounding sequence is identical by construction. A
 /// vector body may fold a negation into the sign of an add — x + (-y) is
 /// x - y and x·(-y) is -(x·y) in IEEE arithmetic — which rewrites no
-/// rounding. The peaks (peak_scan, lag_peak) are a max pass and an
-/// equality search: exact comparisons, no rounding to reorder.
+/// rounding. The peaks (peak_scan, lag_peak) are exact comparisons with no
+/// rounding to reorder: a max pass and an equality search, or (scalar
+/// peak_scan) one pass over four lanes that keep their first maximum.
 ///
 /// Precondition of every kernel: finite input (no NaN; ±inf only where a
 /// kernel says so). The `Try*` entry points of the library reject
@@ -149,10 +150,12 @@ struct KernelTable {
                          std::size_t h, double* out_re, double* out_im);
 
   /// The peak of a sequential strict-greater scan (`if (x[i] > best)`, best
-  /// starting at x[0]), computed as a max pass and then a first-index pass:
-  /// value = x[i] and index = i for the lowest i with x[i] == max x. The two
-  /// agree exactly for finite input or ±inf (±0 compare equal, so a -0.0
-  /// before a +0.0 maximum wins with its own sign). Requires n >= 1.
+  /// starting at x[0]): value = x[i] and index = i for the lowest i with
+  /// x[i] == max x. The AVX2 body is a max pass and then a first-index
+  /// pass; the scalar body is one pass over four strict-greater lanes that
+  /// keep their lowest index, combined by (value, index). Both equal the
+  /// sequential scan exactly for finite input or ±inf (±0 compare equal, so
+  /// a -0.0 before a +0.0 maximum wins with its own sign). Requires n >= 1.
   Peak (*peak_scan)(const double* x, std::size_t n);
 
   /// peak_scan over the 2m-1 lags of a packed half-size inverse, read off

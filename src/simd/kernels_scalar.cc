@@ -10,6 +10,7 @@
 #include "simd/kernels.h"
 
 #include <cmath>
+#include <limits>
 
 namespace kshape::simd {
 
@@ -282,12 +283,43 @@ inline double RangeMax(const double* p, std::size_t lo, std::size_t hi,
 }
 
 Peak PeakScanScalar(const double* x, std::size_t n) {
-  // Max, then the first index equal to it: the strict-greater scan's peak.
-  const double best = RangeMax(x, 0, n, x[0]);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (x[i] == best) return Peak{x[i], i};
+  // One pass, four lanes: lane l starts from its first element x[l] (index
+  // l) and keeps the lowest index of its lane maximum under a strict-greater
+  // scan; lanes past the end of a short input can never win the combine.
+  // The result is the max and the first index holding it, the same as a
+  // max pass then a search, without reading the buffer twice.
+  double bv[4];
+  std::size_t bi[4];
+  const std::size_t lead = n < 4 ? n : 4;
+  for (std::size_t l = 0; l < 4; ++l) {
+    bv[l] = l < lead ? x[l] : -std::numeric_limits<double>::infinity();
+    bi[l] = l < lead ? l : std::numeric_limits<std::size_t>::max();
   }
-  return Peak{x[0], 0};  // Unreachable for NaN-free input.
+  std::size_t i = 4;
+  for (; i + 4 <= n; i += 4) {
+    for (std::size_t l = 0; l < 4; ++l) {
+      if (x[i + l] > bv[l]) {
+        bv[l] = x[i + l];
+        bi[l] = i + l;
+      }
+    }
+  }
+  for (; i < n; ++i) {
+    const std::size_t l = i & 3;
+    if (x[i] > bv[l]) {
+      bv[l] = x[i];
+      bi[l] = i;
+    }
+  }
+  Peak peak{bv[0], bi[0]};
+  for (std::size_t l = 1; l < 4; ++l) {
+    if (bv[l] > peak.value ||
+        (bv[l] == peak.value && bi[l] < peak.index)) {
+      peak.value = bv[l];
+      peak.index = bi[l];
+    }
+  }
+  return peak;
 }
 
 // The first index in [lo, hi) of the interleaving time[2j] = re[j],
